@@ -7,8 +7,10 @@
 //! ```
 //!
 //! Defaults: all eight paper apps, the five unconditionally-sound protocols
-//! (lmw-i, lmw-u, bar-i, bar-u, bar-s), 4 processes, small scale. Exits
-//! nonzero if any run flags a violation, so CI can use it as a smoke gate.
+//! (lmw-i, lmw-u, bar-i, bar-u, bar-s), 4 processes, small scale. Exits 1
+//! if any run flags a violation, so CI can use it as a smoke gate. `--help`
+//! prints the usage line; a bad flag, value, app, protocol or scale prints
+//! a one-line error and the usage line to stderr and exits 2.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +27,10 @@ const SOUND: [ProtocolKind; 5] = [
     ProtocolKind::BarS,
 ];
 
-fn protocol_by_label(label: &str) -> ProtocolKind {
+const USAGE: &str =
+    "usage: checked [--apps a,b,..] [--protocols lmw-i,bar-u,..] [--nprocs N] [--scale small|paper]";
+
+fn protocol_by_label(label: &str) -> Result<ProtocolKind, String> {
     let all = [
         ProtocolKind::Seq,
         ProtocolKind::LmwI,
@@ -37,7 +42,7 @@ fn protocol_by_label(label: &str) -> ProtocolKind {
     ];
     all.into_iter()
         .find(|p| p.label() == label)
-        .unwrap_or_else(|| panic!("unknown protocol {label:?}"))
+        .ok_or_else(|| format!("unknown protocol {label:?}"))
 }
 
 struct Args {
@@ -47,46 +52,68 @@ struct Args {
     scale: Scale,
 }
 
-fn parse_args() -> Args {
+/// Parse the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         apps: all_apps().iter().map(|s| s.name).collect(),
         protocols: SOUND.to_vec(),
         nprocs: 4,
         scale: Scale::Small,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let val = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
+            "--help" | "-h" => return Ok(None),
             "--apps" => {
-                args.apps = val
+                args.apps = value()?
                     .split(',')
                     .map(|a| {
                         app_by_name(a)
-                            .unwrap_or_else(|| panic!("unknown app {a:?}"))
-                            .name
+                            .map(|spec| spec.name)
+                            .ok_or_else(|| format!("unknown app {a:?}"))
                     })
-                    .collect();
+                    .collect::<Result<_, _>>()?;
             }
             "--protocols" => {
-                args.protocols = val.split(',').map(protocol_by_label).collect();
+                args.protocols = value()?
+                    .split(',')
+                    .map(protocol_by_label)
+                    .collect::<Result<_, _>>()?;
             }
-            "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
+            "--nprocs" => {
+                let val = value()?;
+                args.nprocs = val
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("--nprocs takes a positive count, not {val:?}"))?;
+            }
             "--scale" => {
-                args.scale = match val.as_str() {
+                args.scale = match value()?.as_str() {
                     "small" => Scale::Small,
                     "paper" => Scale::Paper,
-                    other => panic!("unknown scale {other:?}"),
+                    other => return Err(format!("unknown scale {other:?}")),
                 }
             }
-            other => panic!("unknown flag {other:?}"),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    args
+    Ok(Some(args))
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("checked: {e}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let mut t = TextTable::new(vec![
         "app",
         "protocol",

@@ -5,9 +5,16 @@
 //! the clocks agree — but the detector does not rely on that and performs
 //! the general FastTrack-style epoch test). Every 8-byte word of touched
 //! shared memory has a shadow cell holding the last write (clock, pid) and
-//! the concurrent reader set (one reader inline, more spilled to a side
-//! table); an access races with a prior access iff the prior stamp is not
-//! `<=` the accessor's clock entry for the prior pid.
+//! the concurrent reader set; an access races with a prior access iff the
+//! prior stamp is not `<=` the accessor's clock entry for the prior pid.
+//!
+//! **Reader sets.** One reader lives inline in the cell. When a second
+//! reader appears the set spills: the word's slot in a page-indexed spill
+//! index (laid out like the shadow pages, allocated only for pages with a
+//! spilled word) names a `(clock, pid)` list in an append-only pool. Both
+//! lookups are array indexing, so the access path never hashes, and the
+//! set scales to any process count (a pid bitmap would cap the cluster at
+//! the word width). A word never unspills.
 //!
 //! **Silent stores are not writes.** The protocols under test propagate
 //! writes by twin/diff comparison: a store of the value the writer's view
@@ -19,7 +26,7 @@
 //! "read-modify-rewrite the whole row" idioms from reporting races on the
 //! words they pass through unchanged.
 
-use dsm_sim::{FastMap, FastSet, SnapReader, SnapWriter};
+use dsm_sim::{FastSet, SnapReader, SnapWriter};
 
 use crate::report::RaceKind;
 
@@ -55,19 +62,20 @@ struct Word {
     wp: u16,
     /// Sole reader pid while the word has one concurrent reader;
     /// [`READERS_SHARED`] once a second reader appears, at which point
-    /// the full `(clock, pid)` set lives in `RaceState::read_sets`. A
-    /// pid-indexed bitmap here would cap the cluster at the word width
-    /// (the dense-by-nodes bug class); the spill table scales to any
-    /// process count while keeping the cell 16 bytes.
+    /// the full `(clock, pid)` set lives in `RaceState::spill_pool`.
     rp: u16,
     /// Highest read clock across the tracked readers.
     rc: u32,
 }
 
-/// Sentinel for `Word::rp`: the reader set has spilled to the side table.
+/// Sentinel for `Word::rp`: the reader set has spilled to the pool.
 const READERS_SHARED: u16 = u16::MAX;
 
 const WORD: usize = 8;
+
+/// One page's spill index: per word, `1 +` the pool slot of its spilled
+/// reader set, or 0 while the word has at most one reader.
+type SpillPage = Option<Box<[u32]>>;
 
 /// The race detector.
 pub struct RaceState {
@@ -81,9 +89,11 @@ pub struct RaceState {
     /// coherence oracle suppress mismatches on racy words (under LRC a racy
     /// read may legally return either value).
     racy: FastSet<u64>,
-    /// Spilled reader sets, keyed by word: `(read clock, pid)` per reader,
-    /// populated only for words with two or more concurrent readers.
-    read_sets: FastMap<u64, Vec<(u32, u16)>>,
+    /// Spill index, same dense page indexing and length as `shadow`.
+    spill_index: Vec<SpillPage>,
+    /// Spilled reader sets, `(read clock, pid)` per reader in insertion
+    /// order; one entry per word whose index slot is nonzero.
+    spill_pool: Vec<Vec<(u32, u16)>>,
     words_per_page: usize,
     /// `log2(words_per_page)`; page sizes are powers of two by the VM's
     /// own assertion, and a shift beats a division by a runtime value in
@@ -100,6 +110,22 @@ pub struct RaceHit {
     pub second_pid: usize,
 }
 
+/// The shadow cells (materialized on first touch) and the spill index of
+/// `page`, growing both page tables in step.
+fn page_slots<'a>(
+    shadow: &'a mut Vec<Option<Box<[Word]>>>,
+    spill_index: &'a mut Vec<SpillPage>,
+    page: usize,
+    wpp: usize,
+) -> (&'a mut [Word], &'a mut SpillPage) {
+    if page >= shadow.len() {
+        shadow.resize_with(page + 1, || None);
+        spill_index.resize_with(page + 1, || None);
+    }
+    let cells = shadow[page].get_or_insert_with(|| vec![Word::default(); wpp].into_boxed_slice());
+    (cells, &mut spill_index[page])
+}
+
 impl RaceState {
     pub fn new(nprocs: usize, page_size: usize) -> RaceState {
         assert!(page_size.is_power_of_two() && page_size >= WORD);
@@ -113,7 +139,8 @@ impl RaceState {
             clocks,
             shadow: Vec::new(),
             racy: FastSet::default(),
-            read_sets: FastMap::default(),
+            spill_index: Vec::new(),
+            spill_pool: Vec::new(),
             words_per_page,
             wpp_shift: words_per_page.trailing_zeros(),
         }
@@ -145,11 +172,12 @@ impl RaceState {
         (touched * self.words_per_page) as u64
     }
 
-    /// Encode the detector state for a snapshot. Hash-container contents
-    /// are written in sorted key order (their iteration order is
-    /// arbitrary), except the *inside* of a spilled reader set, which keeps
-    /// its insertion order verbatim: `on_access` scans it front-to-back and
-    /// stops at the first unordered reader, so the order is observable.
+    /// Encode the detector state for a snapshot. The racy set is written
+    /// in sorted key order (its iteration order is arbitrary) and spilled
+    /// reader sets in ascending word order (pages, then words). The
+    /// *inside* of a spilled reader set keeps its insertion order verbatim:
+    /// `on_write` scans it front-to-back and stops at the first unordered
+    /// reader, so the order is observable.
     pub fn encode_state(&self, w: &mut SnapWriter) {
         w.usize(self.clocks.len());
         for c in &self.clocks {
@@ -185,16 +213,20 @@ impl RaceState {
         for k in racy {
             w.u64(k);
         }
-        let mut keys: Vec<u64> = self.read_sets.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for k in keys {
-            w.u64(k);
-            let set = &self.read_sets[&k];
-            w.usize(set.len());
-            for &(qc, q) in set {
-                w.u32(qc);
-                w.u16(q);
+        w.usize(self.spill_pool.len());
+        for (page, index) in self.spill_index.iter().enumerate() {
+            let Some(index) = index else { continue };
+            for (widx, &slot) in index.iter().enumerate() {
+                if slot == 0 {
+                    continue;
+                }
+                w.u64(((page << self.wpp_shift) + widx) as u64);
+                let set = &self.spill_pool[slot as usize - 1];
+                w.usize(set.len());
+                for &(qc, q) in set {
+                    w.u32(qc);
+                    w.u16(q);
+                }
             }
         }
     }
@@ -212,6 +244,8 @@ impl RaceState {
         let npages = r.usize();
         self.shadow.clear();
         self.shadow.resize_with(npages, || None);
+        self.spill_index.clear();
+        self.spill_index.resize_with(npages, || None);
         for _ in 0..r.usize() {
             let page = r.usize();
             let mut cells = vec![Word::default(); self.words_per_page].into_boxed_slice();
@@ -230,15 +264,85 @@ impl RaceState {
         for _ in 0..r.usize() {
             self.racy.insert(r.u64());
         }
-        self.read_sets = FastMap::default();
+        let wpp = self.words_per_page;
+        self.spill_pool.clear();
         for _ in 0..r.usize() {
-            let k = r.u64();
+            let k = r.u64() as usize;
             let len = r.usize();
             let mut set = Vec::with_capacity(len);
             for _ in 0..len {
                 set.push((r.u32(), r.u16()));
             }
-            self.read_sets.insert(k, set);
+            self.spill_pool.push(set);
+            let index = self.spill_index[k >> self.wpp_shift]
+                .get_or_insert_with(|| vec![0; wpp].into_boxed_slice());
+            index[k & (wpp - 1)] = self.spill_pool.len() as u32;
+        }
+    }
+
+    /// Record a read of `[addr, addr + len)` by `pid`; push newly racy
+    /// words into `out`.
+    pub fn on_read(&mut self, pid: usize, addr: usize, len: usize, out: &mut Vec<RaceHit>) {
+        if len == 0 {
+            return;
+        }
+        // Split borrow: the accessor's clock is only read, while the shadow
+        // cells, spill tables and racy set are mutated.
+        let RaceState {
+            clocks,
+            shadow,
+            racy,
+            spill_index,
+            spill_pool,
+            words_per_page,
+            wpp_shift,
+        } = self;
+        let (wpp, shift) = (*words_per_page, *wpp_shift);
+        let clock = &clocks[pid];
+        let c = clock.0[pid];
+        let me = pid as u16;
+        let last = (addr + len - 1) / WORD;
+        let mut w = addr / WORD;
+        while w <= last {
+            let page = w >> shift;
+            let base = page << shift;
+            let hi = last.min(base + wpp - 1);
+            let (cells, index) = page_slots(shadow, spill_index, page, wpp);
+            let start = w - base;
+            for (i, cell) in cells[start..=hi - base].iter_mut().enumerate() {
+                let widx = start + i;
+                // Prior write vs this read.
+                if cell.wc != 0 && cell.wp != me && !clock.covers(cell.wc, cell.wp as usize) {
+                    let key = (base + widx) as u64;
+                    if racy.insert(key) {
+                        out.push(RaceHit {
+                            kind: RaceKind::WriteRead,
+                            word_key: key,
+                            first_pid: cell.wp as usize,
+                            second_pid: pid,
+                        });
+                    }
+                }
+                // Record the read. One reader is tracked inline; a second
+                // spills the set — each reader keeping its own clock.
+                if cell.rc == 0 || cell.rp == me {
+                    cell.rp = me;
+                } else if cell.rp == READERS_SHARED {
+                    let slot = index.as_ref().expect("spill index")[widx];
+                    let set = &mut spill_pool[slot as usize - 1];
+                    match set.iter_mut().find(|(_, q)| *q == me) {
+                        Some(e) => e.0 = e.0.max(c),
+                        None => set.push((c, me)),
+                    }
+                } else {
+                    spill_pool.push(vec![(cell.rc, cell.rp), (c, me)]);
+                    index.get_or_insert_with(|| vec![0; wpp].into_boxed_slice())[widx] =
+                        spill_pool.len() as u32;
+                    cell.rp = READERS_SHARED;
+                }
+                cell.rc = cell.rc.max(c);
+            }
+            w = hi + 1;
         }
     }
 
@@ -255,144 +359,92 @@ impl RaceState {
         out: &mut Vec<RaceHit>,
     ) {
         debug_assert_eq!(new.len(), cur.len());
-        self.on_access(pid, addr, new.len(), Some((new, cur)), out);
-    }
-
-    /// Record a read of `[addr, addr + len)` by `pid`.
-    pub fn on_read(&mut self, pid: usize, addr: usize, len: usize, out: &mut Vec<RaceHit>) {
-        self.on_access(pid, addr, len, None, out);
-    }
-
-    fn on_access(
-        &mut self,
-        pid: usize,
-        addr: usize,
-        len: usize,
-        write: Option<(&[u8], &[u8])>,
-        out: &mut Vec<RaceHit>,
-    ) {
+        let len = new.len();
         if len == 0 {
             return;
         }
-        let is_write = write.is_some();
-        // Split borrow: the accessor's clock is only read, while the shadow
-        // cells and racy set are mutated; destructuring keeps the borrow
-        // checker happy without cloning the clock on every access.
         let RaceState {
             clocks,
             shadow,
             racy,
-            read_sets,
+            spill_index,
+            spill_pool,
             words_per_page,
             wpp_shift,
         } = self;
-        let wpp = *words_per_page;
-        let shift = *wpp_shift;
+        let (wpp, shift) = (*words_per_page, *wpp_shift);
         let clock = &clocks[pid];
         let c = clock.0[pid];
-        let first = addr / WORD;
+        let me = pid as u16;
         let last = (addr + len - 1) / WORD;
-        let mut w = first;
+        let mut w = addr / WORD;
         while w <= last {
             let page = w >> shift;
             let base = page << shift;
-            let end_of_page = base + wpp - 1;
-            let hi = last.min(end_of_page);
-            if page >= shadow.len() {
-                shadow.resize_with(page + 1, || None);
-            }
-            let cells =
-                shadow[page].get_or_insert_with(|| vec![Word::default(); wpp].into_boxed_slice());
-            for widx in (w - base)..=(hi - base) {
-                let cell = &mut cells[widx];
+            let hi = last.min(base + wpp - 1);
+            let (cells, index) = page_slots(shadow, spill_index, page, wpp);
+            let start = w - base;
+            for (i, cell) in cells[start..=hi - base].iter_mut().enumerate() {
+                let widx = start + i;
                 let key = (base + widx) as u64;
-                if let Some((new, cur)) = write {
-                    // Silent store: this word is rewritten with the bytes
-                    // the writer already sees; the diff-based protocols
-                    // cannot propagate it, so it is not a write here either.
-                    let ws = key as usize * WORD;
-                    let lo = ws.max(addr) - addr;
-                    let hi_b = (ws + WORD).min(addr + len) - addr;
-                    // Whole-word case (the overwhelmingly common one for
-                    // 8-byte scalar stores): one u64 compare, no memcmp.
-                    let silent = if hi_b - lo == WORD {
-                        let a = u64::from_le_bytes(new[lo..lo + WORD].try_into().unwrap());
-                        let b = u64::from_le_bytes(cur[lo..lo + WORD].try_into().unwrap());
-                        a == b
-                    } else {
-                        new[lo..hi_b] == cur[lo..hi_b]
-                    };
-                    if silent {
-                        continue;
-                    }
+                // Silent store: this word is rewritten with the bytes the
+                // writer already sees; the diff-based protocols cannot
+                // propagate it, so it is not a write here either.
+                let ws = key as usize * WORD;
+                let lo = ws.max(addr) - addr;
+                let hi_b = (ws + WORD).min(addr + len) - addr;
+                // Whole-word case (the overwhelmingly common one for 8-byte
+                // scalar stores): one u64 compare, no memcmp.
+                let silent = if hi_b - lo == WORD {
+                    let a = u64::from_le_bytes(new[lo..lo + WORD].try_into().unwrap());
+                    let b = u64::from_le_bytes(cur[lo..lo + WORD].try_into().unwrap());
+                    a == b
+                } else {
+                    new[lo..hi_b] == cur[lo..hi_b]
+                };
+                if silent {
+                    continue;
                 }
-                // Prior write vs this access.
+                // Prior write vs this write.
                 if cell.wc != 0
-                    && cell.wp as usize != pid
+                    && cell.wp != me
                     && !clock.covers(cell.wc, cell.wp as usize)
                     && racy.insert(key)
                 {
                     out.push(RaceHit {
-                        kind: if is_write {
-                            RaceKind::WriteWrite
-                        } else {
-                            RaceKind::WriteRead
-                        },
+                        kind: RaceKind::WriteWrite,
                         word_key: key,
                         first_pid: cell.wp as usize,
                         second_pid: pid,
                     });
                 }
-                if is_write {
-                    // Prior reads vs this write.
-                    if cell.rc != 0 {
-                        if cell.rp == READERS_SHARED {
-                            let set = read_sets.get(&key).expect("spilled read set");
-                            for &(qc, q) in set {
-                                if q as usize != pid && !clock.covers(qc, q as usize) {
-                                    if racy.insert(key) {
-                                        out.push(RaceHit {
-                                            kind: RaceKind::ReadWrite,
-                                            word_key: key,
-                                            first_pid: q as usize,
-                                            second_pid: pid,
-                                        });
-                                    }
-                                    break;
-                                }
-                            }
-                        } else if cell.rp as usize != pid
-                            && !clock.covers(cell.rc, cell.rp as usize)
-                            && racy.insert(key)
-                        {
+                // Prior reads vs this write: the first unordered reader
+                // (in insertion order) is the one reported.
+                if cell.rc != 0 {
+                    let reader = if cell.rp == READERS_SHARED {
+                        let slot = index.as_ref().expect("spill index")[widx];
+                        spill_pool[slot as usize - 1]
+                            .iter()
+                            .find(|&&(qc, q)| q != me && !clock.covers(qc, q as usize))
+                            .map(|&(_, q)| q)
+                    } else if cell.rp != me && !clock.covers(cell.rc, cell.rp as usize) {
+                        Some(cell.rp)
+                    } else {
+                        None
+                    };
+                    if let Some(q) = reader {
+                        if racy.insert(key) {
                             out.push(RaceHit {
                                 kind: RaceKind::ReadWrite,
                                 word_key: key,
-                                first_pid: cell.rp as usize,
+                                first_pid: q as usize,
                                 second_pid: pid,
                             });
                         }
                     }
-                    cell.wc = c;
-                    cell.wp = pid as u16;
-                } else {
-                    // Record the read. One reader is tracked inline; a
-                    // second spills the set — each reader keeping its own
-                    // clock — to the side table.
-                    if cell.rc == 0 || cell.rp == pid as u16 {
-                        cell.rp = pid as u16;
-                    } else if cell.rp == READERS_SHARED {
-                        let set = read_sets.get_mut(&key).expect("spilled read set");
-                        match set.iter_mut().find(|(_, q)| *q == pid as u16) {
-                            Some(e) => e.0 = e.0.max(c),
-                            None => set.push((c, pid as u16)),
-                        }
-                    } else {
-                        read_sets.insert(key, vec![(cell.rc, cell.rp), (c, pid as u16)]);
-                        cell.rp = READERS_SHARED;
-                    }
-                    cell.rc = cell.rc.max(c);
                 }
+                cell.wc = c;
+                cell.wp = me;
             }
             w = hi + 1;
         }
