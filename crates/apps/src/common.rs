@@ -24,6 +24,23 @@ pub enum Scale {
     Paper,
 }
 
+impl Scale {
+    /// Stable lowercase name (CLI flags, report headers).
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// Inverse of [`Scale::label`].
+    pub fn from_label(s: &str) -> Option<Scale> {
+        [Scale::Small, Scale::Paper]
+            .into_iter()
+            .find(|x| x.label() == s)
+    }
+}
+
 /// Contiguous band `[lo, hi)` of `count` items for process `pid` of
 /// `nprocs` (owner-computes row decomposition).
 ///
@@ -70,6 +87,14 @@ pub fn seeded01(r: usize, c: usize, salt: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_labels_round_trip() {
+        for s in [Scale::Small, Scale::Paper] {
+            assert_eq!(Scale::from_label(s.label()), Some(s));
+        }
+        assert_eq!(Scale::from_label("huge"), None);
+    }
 
     #[test]
     fn bands_partition_exactly() {

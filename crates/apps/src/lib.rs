@@ -39,4 +39,4 @@ pub mod swm;
 pub mod tomcatv;
 
 pub use common::Scale;
-pub use registry::{all_apps, app_by_name, make_app, AppSpec};
+pub use registry::{all_apps, app_by_name, make_app, AppSpec, RegionProof};

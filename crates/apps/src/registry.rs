@@ -1,7 +1,7 @@
 //! The application registry: the paper's Table 1 suite, in row order.
 
-use dsm_core::DsmApp;
-use dsm_plan::PlannedApp;
+use dsm_core::{DsmApp, ProtocolKind, RegionTable};
+use dsm_plan::{analyze, build_schedule, prove_regions, AppAnalysis, EpochSpec, PlannedApp};
 
 use crate::common::Scale;
 
@@ -27,6 +27,29 @@ impl AppSpec {
     pub fn build_planned(&self, scale: Scale) -> Box<dyn PlannedApp> {
         (self.make_planned)(scale)
     }
+
+    /// Prove the `bar-r` region table for this app at `scale` on `nprocs`
+    /// processes: analyze the lowered plan, build the bar-r epoch schedule,
+    /// and run the false-sharing prover over it.
+    pub fn prove_regions(&self, scale: Scale, nprocs: usize) -> RegionProof {
+        let mut probe = self.build_planned(scale);
+        let analysis = analyze(probe.as_mut(), nprocs);
+        let schedule = build_schedule(&analysis.plan, ProtocolKind::BarR, analysis.iters);
+        let table = prove_regions(&analysis.plan, &analysis.layout, &schedule);
+        RegionProof {
+            analysis,
+            schedule,
+            table,
+        }
+    }
+}
+
+/// One app instance's region proof: the table, plus the plan analysis and
+/// bar-r schedule it was proven from.
+pub struct RegionProof {
+    pub analysis: AppAnalysis,
+    pub schedule: Vec<EpochSpec>,
+    pub table: RegionTable,
 }
 
 /// All eight applications in the paper's Table 1 order.

@@ -15,21 +15,21 @@
 use std::sync::Arc;
 
 use dsm_apps::common::Scale;
-use dsm_apps::registry::{make_app, make_planned};
+use dsm_apps::registry::{app_by_name, make_app};
 use dsm_core::{run_app, run_app_checked, ProtocolKind, RunConfig};
-use dsm_plan::{analyze, build_schedule, prove_regions, RegionSink};
+use dsm_plan::RegionSink;
 
 const NPROCS: usize = 4;
 
 fn ground(name: &str) {
-    let mut probe = make_planned(name, Scale::Small).expect("known app");
-    let an = analyze(probe.as_mut(), NPROCS);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    let rt = Arc::new(prove_regions(&an.plan, &an.layout, &sched));
+    let proof = app_by_name(name)
+        .expect("known app")
+        .prove_regions(Scale::Small, NPROCS);
+    let rt = Arc::new(proof.table);
     assert!(!rt.is_empty(), "{name}: prover found no written pages");
 
     // bar-r with the certificates installed, grounded by the sink.
-    let (sink, outcome) = RegionSink::new(Arc::clone(&rt), an.layout.page_size);
+    let (sink, outcome) = RegionSink::new(Arc::clone(&rt), proof.analysis.layout.page_size);
     let mut app = make_app(name, Scale::Small).expect("known app");
     let mut cfg = RunConfig::with_nprocs(ProtocolKind::BarR, NPROCS);
     cfg.regions = Some(Arc::clone(&rt));

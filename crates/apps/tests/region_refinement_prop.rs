@@ -19,8 +19,7 @@
 
 use dsm_apps::all_apps;
 use dsm_apps::common::Scale;
-use dsm_core::ProtocolKind;
-use dsm_plan::{analyze, build_schedule, prove_regions, run_footprints, SpanSet};
+use dsm_plan::{run_footprints, SpanSet};
 use dsm_sim::prop::{check, Gen};
 
 #[test]
@@ -32,11 +31,9 @@ fn region_lowering_refines_page_lowering() {
         |g: &mut Gen| {
             let spec = &apps[g.below(apps.len())];
             let nprocs = g.range(1, 9);
-            let mut probe = spec.build_planned(Scale::Small);
-            let an = analyze(probe.as_mut(), nprocs);
-            let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-            let rt = prove_regions(&an.plan, &an.layout, &sched);
-            let fp = run_footprints(&an.plan, &an.layout, &sched);
+            let proof = spec.prove_regions(Scale::Small, nprocs);
+            let (an, rt) = (&proof.analysis, &proof.table);
+            let fp = run_footprints(&an.plan, &an.layout, &proof.schedule);
             let ps = an.layout.page_size;
             let tag = format!("{}/{nprocs}", spec.name);
 

@@ -8,10 +8,12 @@
 //!
 //! For every cell the zero-fault run is the reference: the campaign
 //! reports the fault profile's virtual-time degradation against it and
-//! asserts the checksum is unchanged — a lossy wire may slow a correct
-//! protocol down, it may never change its answer. Retransmission and
-//! duplication telemetry comes from the transport's own accounting
-//! (`NetStats`), so the table doubles as a goodput-overhead summary.
+//! gates the checksum — a lossy wire may slow a correct protocol down, it
+//! may never change its answer. All seven real protocols run by default;
+//! `bar-r` with its proven region table, so the campaign doubles as the
+//! fault gate for the region fast paths. Retransmission and duplication
+//! telemetry comes from the transport's own accounting (`NetStats`), so
+//! the table doubles as a goodput-overhead summary.
 //!
 //! All output is a pure function of the run configuration (virtual time,
 //! no wall-clock), so the committed `results/campaign.txt` and
@@ -21,222 +23,76 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::Arc;
-
-use dsm_apps::{all_apps, app_by_name, AppSpec, Scale};
+use dsm_bench::cli::Cli;
+use dsm_bench::harness::host_threads;
+use dsm_bench::matrix::{percent, Matrix, Variant};
 use dsm_bench::table::TextTable;
-use dsm_check::checked_run;
-use dsm_core::{ProtocolKind, RegionTable, RunConfig};
-use dsm_plan::{analyze, build_schedule, prove_regions};
+use dsm_core::ProtocolKind;
 use dsm_sim::FaultProfile;
 
-/// All seven real protocols: the five unconditionally-sound ones,
-/// `bar-m` (write sets stable on every paper app), and `bar-r` (runs with
-/// its proven region table installed — the campaign doubles as the fault
-/// gate for the region fast paths).
-const PROTOCOLS: [ProtocolKind; 7] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarS,
-    ProtocolKind::BarM,
-    ProtocolKind::BarR,
-];
-
-fn protocol_by_label(label: &str) -> ProtocolKind {
-    let all = [
-        ProtocolKind::Seq,
-        ProtocolKind::LmwI,
-        ProtocolKind::LmwU,
-        ProtocolKind::BarI,
-        ProtocolKind::BarU,
-        ProtocolKind::BarS,
-        ProtocolKind::BarM,
-        ProtocolKind::BarR,
-    ];
-    all.into_iter()
-        .find(|p| p.label() == label)
-        .unwrap_or_else(|| panic!("unknown protocol {label:?}"))
-}
-
-/// The campaign's named fault profiles, zero-fault reference first.
-fn profiles(nprocs: usize) -> Vec<(&'static str, FaultProfile)> {
-    vec![
-        ("none", FaultProfile::none()),
-        ("iid-loss", FaultProfile::iid_loss()),
-        ("burst-loss", FaultProfile::burst_loss()),
-        ("dup-reorder", FaultProfile::dup_reorder()),
-        ("slow-node", FaultProfile::slow_node(nprocs - 1)),
-    ]
-}
-
-struct Args {
-    apps: Vec<&'static str>,
-    protocols: Vec<ProtocolKind>,
-    nprocs: usize,
-    scale: Scale,
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        apps: all_apps().iter().map(|s| s.name).collect(),
-        protocols: PROTOCOLS.to_vec(),
-        nprocs: 4,
-        scale: Scale::Small,
-        smoke: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--smoke" {
-            // A two-app, two-protocol cut of the matrix for the fast CI
-            // diff gate; the full campaign runs in its own job.
-            args.smoke = true;
-            args.apps = vec!["jacobi", "fft"];
-            args.protocols = vec![ProtocolKind::LmwU, ProtocolKind::BarU, ProtocolKind::BarR];
-            continue;
-        }
-        let val = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--apps" => {
-                args.apps = val
-                    .split(',')
-                    .map(|a| {
-                        app_by_name(a)
-                            .unwrap_or_else(|| panic!("unknown app {a:?}"))
-                            .name
-                    })
-                    .collect();
-            }
-            "--protocols" => {
-                args.protocols = val.split(',').map(protocol_by_label).collect();
-            }
-            "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
-            "--scale" => {
-                args.scale = match val.as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale {other:?}"),
-                }
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
-    args
-}
-
-/// Prove the region table for one (app, nprocs, scale) cell, exactly as
-/// the `regions` report bin does.
-fn region_table(spec: &AppSpec, nprocs: usize, scale: Scale) -> RegionTable {
-    let mut probe = spec.build_planned(scale);
-    let an = analyze(probe.as_mut(), nprocs);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    prove_regions(&an.plan, &an.layout, &sched)
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn percent(part: u64, base: u64) -> String {
-    format!("{:+.1}%", part as f64 / base.max(1) as f64 * 100.0)
-}
+const CLI: Cli = Cli {
+    takes: Cli::ALL,
+    extra: "[--smoke]",
+    min_nprocs: 2,
+    ..Cli::new("campaign")
+};
 
 fn main() {
-    let args = parse_args();
-    assert!(args.nprocs >= 2, "a campaign needs at least two processes");
-    let profiles = profiles(args.nprocs);
+    let args = CLI.parse(|flag, args| {
+        if flag != "--smoke" {
+            return Ok(false);
+        }
+        // A two-app cut of the matrix for the fast CI diff gate; the full
+        // campaign runs in its own job.
+        args.apps = vec!["jacobi", "fft"];
+        args.protocols = vec![ProtocolKind::LmwU, ProtocolKind::BarU, ProtocolKind::BarR];
+        Ok(true)
+    });
+    // The named fault profiles, zero-fault reference first.
+    let profile = |name, p: FaultProfile| Variant::new(name, move |cfg| cfg.sim.fault = p.clone());
+    let variants = vec![
+        profile("none", FaultProfile::none()),
+        profile("iid-loss", FaultProfile::iid_loss()),
+        profile("burst-loss", FaultProfile::burst_loss()),
+        profile("dup-reorder", FaultProfile::dup_reorder()),
+        profile("slow-node", FaultProfile::slow_node(args.nprocs - 1)),
+    ];
+    let matrix = Matrix::new(CLI.bin, &args, variants);
+    let names: Vec<&str> = matrix.variants.iter().map(|v| v.label.as_str()).collect();
     println!("== wire fault-injection campaign ==");
     println!(
         "config: nprocs={} scale={} profiles={}",
         args.nprocs,
-        match args.scale {
-            Scale::Small => "small",
-            Scale::Paper => "paper",
-        },
-        profiles
-            .iter()
-            .map(|(n, _)| *n)
-            .collect::<Vec<_>>()
-            .join(","),
+        args.scale.label(),
+        names.join(","),
     );
     println!();
 
+    let cells = matrix.run(host_threads());
     let mut t = TextTable::new(vec![
         "app", "protocol", "profile", "time us", "degrade", "retrans", "retx kB", "dups", "result",
         "verdict",
     ]);
-    let mut dirty: Vec<String> = Vec::new();
-    for app in &args.apps {
-        let spec = app_by_name(app).unwrap();
-        for &protocol in &args.protocols {
-            // bar-r cells run with the app's proven region table installed,
-            // so the campaign exercises the twin-free capture, clipped
-            // pushes, and elision under every fault profile.
-            let regions = protocol
-                .is_region()
-                .then(|| Arc::new(region_table(&spec, args.nprocs, args.scale)));
-            let mut base_elapsed = 0u64;
-            let mut base_checksum = 0.0f64;
-            for (pname, profile) in &profiles {
-                let mut cfg = RunConfig::with_nprocs(protocol, args.nprocs);
-                cfg.regions.clone_from(&regions);
-                cfg.sim.fault = profile.clone();
-                let (run, check) = checked_run(spec.build(args.scale).as_mut(), cfg);
-                let elapsed = run.elapsed.as_ns();
-                let clean = check.is_clean();
-                let (degrade, result) = if profile.is_none() {
-                    base_elapsed = elapsed;
-                    base_checksum = run.checksum;
-                    ("base".to_string(), "ok".to_string())
-                } else {
-                    (
-                        percent(elapsed.saturating_sub(base_elapsed), base_elapsed),
-                        if run.checksum == base_checksum {
-                            "ok".to_string()
-                        } else {
-                            "DIFF".to_string()
-                        },
-                    )
-                };
-                if !clean || result == "DIFF" {
-                    let name = format!("{app}-{}-{pname}", protocol.label());
-                    let _ = std::fs::create_dir_all("results/repro");
-                    let path = format!("results/repro/campaign-{name}.txt");
-                    let body = format!(
-                        "campaign violation: {app} under {} with profile {pname}\n\
-                         checksum: run {} vs baseline {}\n{}",
-                        protocol.label(),
-                        run.checksum,
-                        base_checksum,
-                        check.summary()
-                    );
-                    if std::fs::write(&path, &body).is_ok() {
-                        eprintln!("--- {name}: violation report written to {path}");
-                    }
-                    eprintln!("{body}");
-                    dirty.push(name);
-                }
-                t.row(vec![
-                    spec.name.to_string(),
-                    protocol.label().to_string(),
-                    (*pname).to_string(),
-                    (elapsed / 1000).to_string(),
-                    degrade,
-                    run.stats.net.retransmits.to_string(),
-                    (run.stats.net.retransmit_bytes / 1024).to_string(),
-                    run.stats.net.flushes_duplicated.to_string(),
-                    result,
-                    if clean { "clean" } else { "FLAGGED" }.to_string(),
-                ]);
-            }
-        }
+    for c in &cells {
+        let net = &c.run.stats.net;
+        let elapsed = c.elapsed_ns();
+        t.row(vec![
+            c.app.to_string(),
+            c.protocol.label().to_string(),
+            names[c.variant].to_string(),
+            (elapsed / 1000).to_string(),
+            if c.variant == 0 {
+                "base".to_string()
+            } else {
+                percent(elapsed.saturating_sub(c.base_ns) as f64, c.base_ns)
+            },
+            net.retransmits.to_string(),
+            (net.retransmit_bytes / 1024).to_string(),
+            net.flushes_duplicated.to_string(),
+            if c.checksum_ok() { "ok" } else { "DIFF" }.to_string(),
+            c.verdict(),
+        ]);
     }
     print!("{}", t.render());
-    if !dirty.is_empty() {
-        eprintln!(
-            "{} campaign cell(s) flagged: {}",
-            dirty.len(),
-            dirty.join(", ")
-        );
-        std::process::exit(1);
-    }
+    matrix.finish(&cells, Vec::new());
 }

@@ -26,23 +26,24 @@
 
 #![forbid(unsafe_code)]
 
-use dsm_apps::{all_apps, app_by_name, Scale};
+use dsm_bench::cli::{explore_app, load_trace, Args, Cli};
+use dsm_bench::harness::{host_threads, run_capped};
 use dsm_bench::table::TextTable;
-use dsm_core::{DsmApp, PlantedBug, ProtocolKind, RunConfig};
+use dsm_core::{PlantedBug, ProtocolKind, RunConfig};
 use dsm_explore::{
-    config_for_trace, explore, protocol_by_label, replay, Bounds, CappedApp, ChoiceTrace,
-    ExploreOpts, RegressApp,
+    config_for_trace, explore, replay, Bounds, ChoiceTrace, ExploreOpts, RegressApp,
 };
 
-/// The six real protocols (seq has no inter-process choices to explore).
-const PROTOCOLS: [ProtocolKind; 6] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarS,
-    ProtocolKind::BarM,
-];
+const CLI: Cli = Cli {
+    takes: &["--apps", "--protocols", "--nprocs"],
+    extra: "[--iters-cap N] [--budget N] [--drop-points N] [--dup-points N] [--defers N] \
+            [--no-por] [--no-prune] [--por-factor] [--hunt] [--jobs N] [--save-trace PATH] \
+            [--replay FILE]",
+    // Every real protocol but bar-r (seq has no inter-process choices).
+    protocols: ProtocolKind::REAL.split_at(6).0,
+    nprocs: 2,
+    ..Cli::new("explore")
+};
 
 /// Per-protocol schedule budgets: update protocols branch on every
 /// droppable flush, so their fault space is far larger than the
@@ -58,10 +59,9 @@ fn default_budget(p: ProtocolKind) -> usize {
     }
 }
 
-struct Args {
-    apps: Vec<&'static str>,
-    protocols: Vec<ProtocolKind>,
-    nprocs: usize,
+/// The bin's own flags.
+#[derive(Default)]
+struct Opts {
     iters_cap: usize,
     budget: Option<usize>,
     bounds: Bounds,
@@ -72,107 +72,67 @@ struct Args {
     replay: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        apps: all_apps().iter().map(|s| s.name).collect(),
-        protocols: PROTOCOLS.to_vec(),
-        nprocs: 2,
-        iters_cap: 2,
-        budget: None,
-        bounds: Bounds::default(),
-        por_factor: false,
-        hunt: false,
-        jobs: 1,
-        save_trace: None,
-        replay: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--no-por" => args.bounds.por = false,
-            "--no-prune" => args.bounds.state_prune = false,
-            "--por-factor" => args.por_factor = true,
-            "--hunt" => args.hunt = true,
-            _ => {
-                let val = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-                match flag.as_str() {
-                    "--apps" => {
-                        args.apps = val
-                            .split(',')
-                            .map(|a| {
-                                app_by_name(a)
-                                    .unwrap_or_else(|| panic!("unknown app {a:?}"))
-                                    .name
-                            })
-                            .collect();
-                    }
-                    "--protocols" => {
-                        args.protocols = val
-                            .split(',')
-                            .map(|l| {
-                                protocol_by_label(l)
-                                    .unwrap_or_else(|| panic!("unknown protocol {l:?}"))
-                            })
-                            .collect();
-                    }
-                    "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
-                    "--iters-cap" => args.iters_cap = val.parse().expect("--iters-cap"),
-                    "--budget" => args.budget = Some(val.parse().expect("--budget")),
-                    "--drop-points" => {
-                        args.bounds.max_drop_points = val.parse().expect("--drop-points");
-                    }
-                    "--dup-points" => {
-                        args.bounds.max_dup_points = val.parse().expect("--dup-points");
-                    }
-                    "--defers" => args.bounds.max_defers = val.parse().expect("--defers"),
-                    "--jobs" => {
-                        let want: usize = val.parse().expect("--jobs");
-                        let avail = std::thread::available_parallelism()
-                            .map_or(1, std::num::NonZeroUsize::get);
-                        args.jobs = want.clamp(1, avail);
-                    }
-                    "--save-trace" => args.save_trace = Some(val),
-                    "--replay" => args.replay = Some(val),
-                    other => panic!("unknown flag {other:?}"),
-                }
-            }
+impl Opts {
+    fn flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--no-por" => self.bounds.por = false,
+            "--no-prune" => self.bounds.state_prune = false,
+            "--por-factor" => self.por_factor = true,
+            "--hunt" => self.hunt = true,
+            "--iters-cap" => self.iters_cap = args.count(flag, 0)?,
+            "--budget" => self.budget = Some(args.count(flag, 0)?),
+            "--drop-points" => self.bounds.max_drop_points = args.count(flag, 0)?,
+            "--dup-points" => self.bounds.max_dup_points = args.count(flag, 0)?,
+            "--defers" => self.bounds.max_defers = args.count(flag, 0)?,
+            "--jobs" => self.jobs = args.count(flag, 0)?.clamp(1, host_threads()),
+            "--save-trace" => self.save_trace = Some(args.value(flag)?),
+            "--replay" => self.replay = Some(args.value(flag)?),
+            _ => return Ok(false),
         }
-    }
-    args
-}
-
-/// Build the application a trace (or the hunt) names: the purpose-built
-/// regression app, or a registry app capped to the exploration iteration
-/// budget.
-fn build_app(name: &str, iters_cap: usize) -> Box<dyn DsmApp> {
-    if name == "regress" {
-        Box::new(RegressApp::new())
-    } else {
-        let spec = app_by_name(name).unwrap_or_else(|| panic!("unknown app {name:?}"));
-        Box::new(CappedApp::new(spec.build(Scale::Small), iters_cap))
+        Ok(true)
     }
 }
 
-/// One explored app x protocol cell, rendered: the table row plus any
-/// violation text destined for stderr.
-struct CellOut {
-    row: Vec<String>,
-    stderr: String,
-}
-
-/// Explore one cell; pure function of the arguments, so cells can run on
-/// any worker thread in any order.
-fn run_cell(app: &'static str, protocol: ProtocolKind, args: &Args) -> CellOut {
-    let budget = args.budget.unwrap_or_else(|| default_budget(protocol));
-    let cfg = RunConfig::with_nprocs(protocol, args.nprocs);
-    let opts = ExploreOpts {
+/// Explore one cell: its table row, plus any violation text for stderr.
+/// A pure function of the arguments, so cells can run on any worker
+/// thread in any order.
+fn run_cell(
+    app: &'static str,
+    protocol: ProtocolKind,
+    nprocs: usize,
+    opts: &Opts,
+) -> (Vec<String>, Option<String>) {
+    let budget = opts.budget.unwrap_or_else(|| default_budget(protocol));
+    let cfg = RunConfig::with_nprocs(protocol, nprocs);
+    let explore_opts = ExploreOpts {
         max_schedules: budget,
         stop_on_violation: true,
-        bounds: args.bounds,
+        bounds: opts.bounds,
         static_groups: None,
     };
-    let rep = explore(|| build_app(app, args.iters_cap), &cfg, &opts);
-    let stderr = rep.violation.as_ref().map_or_else(String::new, |v| {
+    let rep = explore(|| explore_app(app, opts.iters_cap), &cfg, &explore_opts);
+    let frontier = if rep.frontier_exhausted {
+        "done"
+    } else {
+        "budget"
+    };
+    let verdict = if rep.violation.is_some() {
+        "FLAGGED"
+    } else {
+        "clean"
+    };
+    let row = vec![
+        app.to_string(),
+        protocol.label().to_string(),
+        budget.to_string(),
+        rep.schedules.to_string(),
+        rep.completed.to_string(),
+        rep.pruned.to_string(),
+        rep.max_points.to_string(),
+        frontier.to_string(),
+        verdict.to_string(),
+    ];
+    let violation = rep.violation.map(|v| {
         format!(
             "--- {app} under {} (schedule {}):\n{}\n",
             protocol.label(),
@@ -180,68 +140,11 @@ fn run_cell(app: &'static str, protocol: ProtocolKind, args: &Args) -> CellOut {
             v.report.summary()
         )
     });
-    CellOut {
-        row: vec![
-            app.to_string(),
-            protocol.label().to_string(),
-            budget.to_string(),
-            rep.schedules.to_string(),
-            rep.completed.to_string(),
-            rep.pruned.to_string(),
-            rep.max_points.to_string(),
-            if rep.frontier_exhausted {
-                "done"
-            } else {
-                "budget"
-            }
-            .to_string(),
-            if rep.violation.is_some() {
-                "FLAGGED"
-            } else {
-                "clean"
-            }
-            .to_string(),
-        ],
-        stderr,
-    }
-}
-
-/// Run every cell on `args.jobs` worker threads pulling from a shared
-/// queue, then hand the results back in the fixed cell order — output is
-/// byte-identical at any job count.
-fn run_cells(cells: &[(&'static str, ProtocolKind)], args: &Args) -> Vec<CellOut> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let workers = args.jobs.min(cells.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOut>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(app, protocol)) = cells.get(i) else {
-                    break;
-                };
-                let out = run_cell(app, protocol, args);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell ran")
-        })
-        .collect()
+    (row, violation)
 }
 
 fn replay_mode(path: &str) -> ! {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read trace {path:?}: {e}"));
-    let trace = ChoiceTrace::parse(&text).unwrap_or_else(|e| panic!("bad trace {path:?}: {e}"));
+    let trace = load_trace(path).unwrap_or_else(|e| CLI.fail(&e));
     let cfg = config_for_trace(&trace);
     println!(
         "replaying {} choice points: {} under {} ({} procs, planted={})",
@@ -251,7 +154,7 @@ fn replay_mode(path: &str) -> ! {
         trace.nprocs,
         trace.planted.label(),
     );
-    let report = replay(|| build_app(&trace.app, trace.iters_cap), &cfg, &trace);
+    let report = replay(|| explore_app(&trace.app, trace.iters_cap), &cfg, &trace);
     println!(
         "races={} stale={} invariant={}",
         report.races(),
@@ -274,27 +177,17 @@ fn por_factor_section(nprocs: usize) {
         state_prune: false,
         ..Bounds::default()
     };
-    let on = explore(
-        || Box::new(RegressApp::new()),
-        &cfg,
-        &ExploreOpts {
-            max_schedules: 5000,
+    let run = |por, max_schedules| {
+        let opts = ExploreOpts {
+            max_schedules,
             stop_on_violation: false,
-            bounds: Bounds { por: true, ..base },
+            bounds: Bounds { por, ..base },
             static_groups: None,
-        },
-    );
-    let cap = 2000;
-    let off = explore(
-        || Box::new(RegressApp::new()),
-        &cfg,
-        &ExploreOpts {
-            max_schedules: cap,
-            stop_on_violation: false,
-            bounds: Bounds { por: false, ..base },
-            static_groups: None,
-        },
-    );
+        };
+        explore(|| Box::new(RegressApp::new()), &cfg, &opts)
+    };
+    let on = run(true, 5000);
+    let off = run(false, 2000);
     println!(
         "por on : {} schedules (frontier exhausted: {})",
         on.schedules, on.frontier_exhausted
@@ -349,34 +242,39 @@ fn hunt_section(save_trace: Option<&str>) -> bool {
             choices: v.choices,
         };
         std::fs::write(path, trace.to_text())
-            .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {path:?}: {e}")));
         println!("replayable trace saved to {path}");
     }
     true
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some(path) = &args.replay {
+    let mut opts = Opts {
+        iters_cap: 2,
+        jobs: 1,
+        ..Opts::default()
+    };
+    let args = CLI.parse(|flag, args| opts.flag(flag, args));
+    if let Some(path) = &opts.replay {
         replay_mode(path);
     }
 
     println!("== bounded schedule/fault-space exploration ==");
     // The dup-points knob is printed only when enabled so the committed
     // dup-free baselines keep their exact config line.
-    let dups = if args.bounds.max_dup_points > 0 {
-        format!(" dup-points={}", args.bounds.max_dup_points)
+    let dups = if opts.bounds.max_dup_points > 0 {
+        format!(" dup-points={}", opts.bounds.max_dup_points)
     } else {
         String::new()
     };
     println!(
         "config: nprocs={} iters-cap={} drop-points={}{dups} defers={} por={} prune={}",
         args.nprocs,
-        args.iters_cap,
-        args.bounds.max_drop_points,
-        args.bounds.max_defers,
-        if args.bounds.por { "on" } else { "off" },
-        if args.bounds.state_prune { "on" } else { "off" },
+        opts.iters_cap,
+        opts.bounds.max_drop_points,
+        opts.bounds.max_defers,
+        if opts.bounds.por { "on" } else { "off" },
+        if opts.bounds.state_prune { "on" } else { "off" },
     );
     println!();
 
@@ -385,7 +283,9 @@ fn main() {
         .iter()
         .flat_map(|&app| args.protocols.iter().map(move |&p| (app, p)))
         .collect();
-    let outs = run_cells(&cells, &args);
+    let outs = run_capped(&cells, opts.jobs, |&(app, p)| {
+        run_cell(app, p, args.nprocs, &opts)
+    });
 
     let mut t = TextTable::new(vec![
         "app",
@@ -399,21 +299,21 @@ fn main() {
         "verdict",
     ]);
     let mut dirty = 0usize;
-    for out in outs {
-        if !out.stderr.is_empty() {
+    for (row, violation) in outs {
+        if let Some(text) = violation {
             dirty += 1;
-            eprint!("{}", out.stderr);
+            eprint!("{text}");
         }
-        t.row(out.row);
+        t.row(row);
     }
     print!("{}", t.render());
 
-    if args.por_factor {
+    if opts.por_factor {
         por_factor_section(args.nprocs);
     }
     let mut hunt_ok = true;
-    if args.hunt {
-        hunt_ok = hunt_section(args.save_trace.as_deref());
+    if opts.hunt {
+        hunt_ok = hunt_section(opts.save_trace.as_deref());
     }
 
     if dirty > 0 {

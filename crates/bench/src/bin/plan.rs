@@ -1,6 +1,10 @@
 //! Static access-plan analysis report (`results/plan-small.txt`,
 //! `results/plan-paper.txt`).
 //!
+//! ```text
+//! plan [--scale small|paper]      (default small)
+//! ```
+//!
 //! Runs the dsm-plan analyzer over every registered application at one
 //! scale: lowers each declarative plan to page-granularity footprints,
 //! proves phase-level race freedom for both schedule shapes, computes the
@@ -16,7 +20,8 @@
 
 use std::process::ExitCode;
 
-use dsm_apps::{all_apps, Scale};
+use dsm_apps::all_apps;
+use dsm_bench::cli::Cli;
 use dsm_core::ProtocolKind;
 use dsm_plan::{render_report, PlannedApp};
 
@@ -24,20 +29,13 @@ const NPROCS: usize = 8;
 
 const PROTOCOLS: [ProtocolKind; 3] = [ProtocolKind::LmwU, ProtocolKind::BarU, ProtocolKind::BarS];
 
+const CLI: Cli = Cli {
+    takes: &["--scale"],
+    ..Cli::new("plan")
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        ["--scale", "small"] => Scale::Small,
-        ["--scale", "paper"] => Scale::Paper,
-        _ => {
-            eprintln!("usage: plan --scale <small|paper>");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scale_label = match scale {
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    };
+    let scale = CLI.parse(|_, _| Ok(false)).scale;
     let mut apps: Vec<Box<dyn PlannedApp>> = all_apps()
         .iter()
         .map(|spec| spec.build_planned(scale))
@@ -45,7 +43,8 @@ fn main() -> ExitCode {
     let header = format!(
         "Static access-plan analysis: race-freedom proofs, page-conflict groups,\n\
          and predicted update traffic per barrier (protocol simulators over the\n\
-         lowered page footprints). scale={scale_label}"
+         lowered page footprints). scale={}",
+        scale.label()
     );
     let (report, ok) = render_report(&header, NPROCS, &mut apps, &PROTOCOLS);
     print!("{report}");

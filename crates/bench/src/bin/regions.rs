@@ -1,6 +1,10 @@
 //! Region report and measured traffic gate (`results/regions-small.txt`,
 //! `results/regions-paper.txt`).
 //!
+//! ```text
+//! regions [--scale small|paper]   (default small)
+//! ```
+//!
 //! For every registered application at one scale:
 //!
 //! * run the false-sharing prover over the lowered plan and print the
@@ -27,33 +31,28 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use dsm_apps::{all_apps, Scale};
+use dsm_apps::all_apps;
+use dsm_bench::cli::Cli;
 use dsm_core::{run_app, run_app_checked, PageClass, ProtocolKind, RunConfig};
-use dsm_plan::{analyze, build_schedule, prove_regions, render_region_report, RegionSink};
+use dsm_plan::{render_region_report, RegionSink};
 
 const NPROCS: usize = 8;
 
+const CLI: Cli = Cli {
+    takes: &["--scale"],
+    ..Cli::new("regions")
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        ["--scale", "small"] => Scale::Small,
-        ["--scale", "paper"] => Scale::Paper,
-        _ => {
-            eprintln!("usage: regions --scale <small|paper>");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scale_label = match scale {
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    };
+    let scale = CLI.parse(|_, _| Ok(false)).scale;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Plan-proven sub-page regions: static false-sharing certificates,\n\
          dynamic grounding of every proof obligation, and measured bar-r vs\n\
-         bar-u flush traffic. scale={scale_label} nprocs={NPROCS}"
+         bar-u flush traffic. scale={} nprocs={NPROCS}",
+        scale.label()
     );
     let mut ok = true;
 
@@ -61,14 +60,12 @@ fn main() -> ExitCode {
         let _ = writeln!(out);
 
         // Static half: prove the table from the lowered plan.
-        let mut probe = spec.build_planned(scale);
-        let an = analyze(probe.as_mut(), NPROCS);
-        let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-        let rt = Arc::new(prove_regions(&an.plan, &an.layout, &sched));
+        let proof = spec.prove_regions(scale, NPROCS);
+        let rt = Arc::new(proof.table);
         render_region_report(&mut out, spec.name, &rt);
 
         // Dynamic half: ground every certificate against a real bar-r run.
-        let (sink, outcome) = RegionSink::new(Arc::clone(&rt), an.layout.page_size);
+        let (sink, outcome) = RegionSink::new(Arc::clone(&rt), proof.analysis.layout.page_size);
         let mut cfg = RunConfig::with_nprocs(ProtocolKind::BarR, NPROCS);
         cfg.regions = Some(Arc::clone(&rt));
         let rr = run_app_checked(spec.build(scale).as_mut(), cfg, Box::new(sink));

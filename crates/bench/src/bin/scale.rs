@@ -13,7 +13,8 @@
 //!    with the sparsity certificate (max copyset sharers, `N`-independent).
 //! 2. **Dynamic sweep** — every app × all seven protocols × a node-count
 //!    sweep, each cell a real run under the full dsm-check oracle stack
-//!    (`bar-r` with its proven region table). Where a formula exists the
+//!    (`bar-r` with its proven region table), every checksum gated against
+//!    the sweep's smallest `N`. Where a formula exists the
 //!    cell's traffic counters are cross-checked: update messages against
 //!    `net.msgs_of(UpdateFlush)`, update bytes against
 //!    `net.bytes_of(UpdateFlush)`, notices against the checker's
@@ -31,77 +32,24 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::Arc;
-
 use dsm_apps::{app_by_name, AppSpec, Scale};
+use dsm_bench::cli::Cli;
+use dsm_bench::harness::host_threads;
+use dsm_bench::matrix::{Matrix, Variant};
 use dsm_bench::table::TextTable;
-use dsm_check::checked_run;
-use dsm_core::{ProtocolKind, RegionTable, RunConfig};
+use dsm_core::ProtocolKind;
 use dsm_net::MsgKind;
-use dsm_plan::{analyze, build_schedule, derive_law, measure, prove_regions, ScaleLaw, METRICS};
+use dsm_plan::{derive_law, measure, ScaleLaw, METRICS};
 
-/// All seven real protocols, in the house order.
-const PROTOCOLS: [ProtocolKind; 7] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarS,
-    ProtocolKind::BarM,
-    ProtocolKind::BarR,
-];
+const CLI: Cli = Cli {
+    extra: "[--smoke]",
+    ..Cli::new("scale")
+};
 
-/// The subset the symbolic prover models: `bar-m` diffs span overdrive
-/// phases and `bar-r` is validated by the regions cross-check instead.
-const MODELED: [ProtocolKind; 5] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarS,
-];
-
-struct Args {
-    apps: Vec<&'static str>,
-    sweep: Vec<usize>,
-    fit_hi: u64,
-    spots: Vec<u64>,
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        apps: dsm_apps::all_apps().iter().map(|s| s.name).collect(),
-        sweep: vec![16, 64, 256],
-        fit_hi: 96,
-        spots: vec![128, 256],
-        smoke: false,
-    };
-    for flag in std::env::args().skip(1) {
-        match flag.as_str() {
-            // Two-app cut for the fast CI diff gate; the full matrix runs
-            // in its own job.
-            "--smoke" => {
-                args.smoke = true;
-                args.apps = vec!["jacobi", "sor"];
-                args.sweep = vec![16, 64];
-                args.fit_hi = 80;
-                args.spots = vec![128];
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
-    args
-}
-
-/// Prove the region table for one `(app, nprocs)` cell, exactly as the
-/// `regions` report bin does.
-fn region_table(spec: &AppSpec, nprocs: usize) -> RegionTable {
-    let mut probe = spec.build_planned(Scale::Small);
-    let an = analyze(probe.as_mut(), nprocs);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    prove_regions(&an.plan, &an.layout, &sched)
-}
+/// The subset the symbolic prover models, lmw-i through bar-s: `bar-m`
+/// diffs span overdrive phases and `bar-r` is validated by the regions
+/// cross-check instead.
+const MODELED: &[ProtocolKind] = ProtocolKind::REAL.split_at(5).0;
 
 /// Derive the certified law for one modelable cell.
 fn cell_law(spec: &AppSpec, proto: ProtocolKind, fit_hi: u64, spots: &[u64]) -> ScaleLaw {
@@ -115,38 +63,52 @@ fn cell_law(spec: &AppSpec, proto: ProtocolKind, fit_hi: u64, spots: &[u64]) -> 
     )
 }
 
+fn join<T: ToString>(v: &[T]) -> String {
+    v.iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
 fn main() {
-    let args = parse_args();
+    let mut sweep: Vec<usize> = vec![16, 64, 256];
+    let mut fit_hi: u64 = 96;
+    let mut spots: Vec<u64> = vec![128, 256];
+    let mut smoke = false;
+    let args = CLI.parse(|flag, args| {
+        if flag != "--smoke" {
+            return Ok(false);
+        }
+        // Two-app cut for the fast CI diff gate; the full matrix runs in
+        // its own job.
+        smoke = true;
+        args.apps = vec!["jacobi", "sor"];
+        sweep = vec![16, 64];
+        fit_hi = 80;
+        spots = vec![128];
+        Ok(true)
+    });
     println!("== dsm-scale: symbolic node-count laws and dynamic sweep ==");
     println!(
-        "config: scale=small fit=2..={} spots={} sweep={}{}",
-        args.fit_hi,
-        args.spots
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-        args.sweep
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-        if args.smoke { " (smoke)" } else { "" },
+        "config: scale=small fit=2..={fit_hi} spots={} sweep={}{}",
+        join(&spots),
+        join(&sweep),
+        if smoke { " (smoke)" } else { "" },
     );
     println!();
 
     // Section 1: certified symbolic laws.
-    let mut laws: Vec<(&str, ProtocolKind, ScaleLaw)> = Vec::new();
+    let mut laws: Vec<(&str, ProtocolKind, ScaleLaw, bool)> = Vec::new();
     println!("-- certified scaling laws (exact equality over the fit domain) --");
     for app in &args.apps {
         let spec = app_by_name(app).unwrap();
-        let exact = spec.build_planned(Scale::Small).plan().exact;
-        if !exact {
+        let plan = spec.build_planned(Scale::Small).plan();
+        if !plan.exact {
             println!("app={app} formulas=none reason=inexact-plan");
             continue;
         }
-        for proto in MODELED {
-            let law = cell_law(&spec, proto, args.fit_hi, &args.spots);
+        for &proto in MODELED {
+            let law = cell_law(&spec, proto, fit_hi, &spots);
             for (m, f) in METRICS.iter().zip(&law.formulas) {
                 println!(
                     "app={app} proto={} metric={m} pieces={} degree={} open_tail={} formula=[{}]",
@@ -169,121 +131,94 @@ fn main() {
                 law.sparsity.data_sharers.render(),
                 law.sparsity.max_sharers.render(),
             );
-            laws.push((spec.name, proto, law));
+            laws.push((spec.name, proto, law, plan.value_exact));
         }
     }
     println!();
 
-    // Section 2: dynamic sweep under the full oracle stack.
+    // Section 2: dynamic sweep under the full oracle stack. The symbolic
+    // laws cover the whole run, so the bench warmup window is off and the
+    // net counters do too.
     println!("-- dynamic sweep (full dsm-check oracles; formula vs counters) --");
+    let variants = sweep
+        .iter()
+        .map(|&n| {
+            Variant::new(format!("n{n}"), move |cfg| {
+                cfg.sim.nprocs = n;
+                cfg.warmup_iters = 0;
+            })
+        })
+        .collect();
+    let matrix = Matrix::new(CLI.bin, &args, variants);
+    let cells = matrix.run(host_threads());
     let mut t = TextTable::new(vec![
         "app", "protocol", "N", "time us", "upd msgs", "upd kB", "notices", "formula", "verdict",
     ]);
-    let mut dirty: Vec<String> = Vec::new();
-    for app in &args.apps {
-        let spec = app_by_name(app).unwrap();
-        let value_exact = spec.build_planned(Scale::Small).plan().value_exact;
-        for proto in PROTOCOLS {
-            let law = laws
-                .iter()
-                .find(|(a, p, _)| *a == spec.name && *p == proto)
-                .map(|(_, _, l)| l);
-            for &n in &args.sweep {
-                let regions = proto.is_region().then(|| Arc::new(region_table(&spec, n)));
-                let mut cfg = RunConfig::with_nprocs(proto, n);
-                cfg.regions.clone_from(&regions);
-                // The symbolic laws cover the whole run; disable the
-                // bench warmup window so net counters do too.
-                cfg.warmup_iters = 0;
-                let (run, check) = checked_run(spec.build(Scale::Small).as_mut(), cfg);
-                let msgs = run.stats.net.msgs_of(MsgKind::UpdateFlush);
-                let bytes = run.stats.net.bytes_of(MsgKind::UpdateFlush);
-                let notices = if proto.is_bar() {
-                    check.version_bumps
-                } else {
-                    check.notices_recorded
-                };
-                let clean = check.is_clean();
-                let cell = format!("{app}-{}-n{n}", proto.label());
-                // Cross-check the three traffic metrics with their dynamic
-                // counterparts. Messages and notices are always exact
-                // equality. Bytes are too for value-exact plans; for apps
-                // whose stencils can rewrite a word with its previous
-                // value (silent stores shrink dynamic diffs), the byte
-                // formula is a certified *upper bound* instead.
-                let formula = match law.and_then(|l| l.eval(n as u64)) {
-                    Some(want) => {
-                        let got = [msgs, bytes, notices];
-                        let mut bound = false;
-                        let bad: Vec<&str> = got
-                            .iter()
-                            .zip(&want[..3])
-                            .zip(&METRICS[..3])
-                            .filter(|((g, w), m)| {
-                                if g == w {
-                                    return false;
-                                }
-                                if **m == "update_bytes" && !value_exact && g < w {
-                                    bound = true;
-                                    return false;
-                                }
-                                true
-                            })
-                            .map(|(_, m)| *m)
-                            .collect();
-                        if bad.is_empty() {
-                            if bound { "bound" } else { "exact" }.to_string()
-                        } else {
-                            for m in &bad {
-                                let i = METRICS.iter().position(|x| x == m).unwrap();
-                                eprintln!(
-                                    "--- {cell}: formula mismatch on {m}: \
-                                     predicted {} observed {}",
-                                    want[i],
-                                    [msgs, bytes, notices][i],
-                                );
-                            }
-                            dirty.push(format!("{cell}:formula"));
-                            format!("MISMATCH({})", bad.join(","))
-                        }
+    let mut flagged = Vec::new();
+    for c in &cells {
+        let n = sweep[c.variant];
+        let net = &c.run.stats.net;
+        let got = [
+            net.msgs_of(MsgKind::UpdateFlush),
+            net.bytes_of(MsgKind::UpdateFlush),
+            if c.protocol.is_bar() {
+                c.check.version_bumps
+            } else {
+                c.check.notices_recorded
+            },
+        ];
+        let law = laws
+            .iter()
+            .find(|(a, p, _, _)| *a == c.app && *p == c.protocol)
+            .and_then(|(_, _, l, value_exact)| Some((l.eval(n as u64)?, *value_exact)));
+        // Messages and notices must match their formulas exactly. Bytes
+        // must too for value-exact plans; for apps whose stencils can
+        // rewrite a word with its previous value (silent stores shrink
+        // dynamic diffs), the byte formula is a certified *upper bound*
+        // instead.
+        let formula = match law {
+            None => "-".to_string(),
+            Some((want, value_exact)) => {
+                let mut bound = false;
+                let mut bad = Vec::new();
+                for (i, m) in METRICS[..3].iter().enumerate() {
+                    if got[i] == want[i] {
+                        continue;
                     }
-                    None => "-".to_string(),
-                };
-                if !clean {
-                    let _ = std::fs::create_dir_all("results/repro");
-                    let path = format!("results/repro/scale-{cell}.txt");
-                    let body = format!(
-                        "scale sweep violation: {app} under {} at N={n}\n{}",
-                        proto.label(),
-                        check.summary()
-                    );
-                    if std::fs::write(&path, &body).is_ok() {
-                        eprintln!("--- {cell}: violation report written to {path}");
+                    if *m == "update_bytes" && !value_exact && got[i] < want[i] {
+                        bound = true;
+                    } else {
+                        eprintln!(
+                            "--- {}: formula mismatch on {m}: predicted {} observed {}",
+                            matrix.cell_name(c),
+                            want[i],
+                            got[i],
+                        );
+                        bad.push(*m);
                     }
-                    eprintln!("{body}");
-                    dirty.push(cell.clone());
                 }
-                t.row(vec![
-                    spec.name.to_string(),
-                    proto.label().to_string(),
-                    n.to_string(),
-                    (run.elapsed.as_ns() / 1000).to_string(),
-                    msgs.to_string(),
-                    (bytes / 1024).to_string(),
-                    notices.to_string(),
-                    formula,
-                    if clean { "clean" } else { "FLAGGED" }.to_string(),
-                ]);
+                if !bad.is_empty() {
+                    flagged.push(format!("{}:formula", matrix.cell_name(c)));
+                    format!("MISMATCH({})", bad.join(","))
+                } else if bound {
+                    "bound".to_string()
+                } else {
+                    "exact".to_string()
+                }
             }
-        }
+        };
+        t.row(vec![
+            c.app.to_string(),
+            c.protocol.label().to_string(),
+            n.to_string(),
+            (c.elapsed_ns() / 1000).to_string(),
+            got[0].to_string(),
+            (got[1] / 1024).to_string(),
+            got[2].to_string(),
+            formula,
+            c.verdict(),
+        ]);
     }
     print!("{}", t.render());
-    if !dirty.is_empty() {
-        eprintln!(
-            "{} scale cell(s) flagged: {}",
-            dirty.len(),
-            dirty.join(", ")
-        );
-        std::process::exit(1);
-    }
+    matrix.finish(&cells, flagged);
 }

@@ -48,15 +48,7 @@ fn main() {
                 cells.push(format!("{:.2}", o.speedup()));
             }
         }
-        // reorder: we pushed sor-li, sor-bu, fft-li, fft-bu in app-major order
-        let reordered = vec![
-            cells[0].clone(),
-            cells[1].clone(),
-            cells[2].clone(),
-            cells[3].clone(),
-            cells[4].clone(),
-        ];
-        t.row(reordered);
+        t.row(cells);
     }
     print!("{}", t.render());
 

@@ -8,9 +8,10 @@
 //! ```
 //!
 //! For every cell the two-sided run is the reference: the table reports
-//! the one-sided backend's virtual-time delta against it and asserts the
-//! checksum is unchanged — the transport may move the messages, it may
-//! never change the answer. The closing section ranks update against
+//! the one-sided backend's virtual-time delta against it and gates the
+//! checksum — the transport may move the messages, it may never change
+//! the answer. All seven real protocols run by default, `bar-r` with its
+//! proven region table. The closing section ranks update against
 //! invalidate within each family per backend: the paper's 1998 ranking
 //! (update wins: extra flush bytes are cheaper than remote faults) is a
 //! property of the wire, and the one-sided backend's collapsed fetch cost
@@ -24,141 +25,58 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::Arc;
-
-use dsm_apps::{all_apps, app_by_name, AppSpec, Scale};
+use dsm_apps::Scale;
+use dsm_bench::cli::Cli;
+use dsm_bench::harness::host_threads;
+use dsm_bench::matrix::{percent, Cell, Matrix, Variant};
 use dsm_bench::table::TextTable;
-use dsm_check::checked_run;
-use dsm_core::{ProtocolKind, RegionTable, RunConfig};
-use dsm_plan::{analyze, build_schedule, prove_regions};
+use dsm_core::ProtocolKind;
 use dsm_sim::transport::TransportKind;
 
-/// All seven real protocols (bar-r runs with its proven region table).
-const PROTOCOLS: [ProtocolKind; 7] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarS,
-    ProtocolKind::BarM,
-    ProtocolKind::BarR,
-];
+const CLI: Cli = Cli {
+    takes: Cli::ALL,
+    nprocs: 8,
+    min_nprocs: 2,
+    scale: Scale::Paper,
+    ..Cli::new("transport")
+};
 
-const BACKENDS: [TransportKind; 2] = [TransportKind::TwoSided, TransportKind::OneSided];
-
-fn protocol_by_label(label: &str) -> ProtocolKind {
-    let all = [
-        ProtocolKind::Seq,
-        ProtocolKind::LmwI,
-        ProtocolKind::LmwU,
-        ProtocolKind::BarI,
-        ProtocolKind::BarU,
-        ProtocolKind::BarS,
-        ProtocolKind::BarM,
-        ProtocolKind::BarR,
-    ];
-    all.into_iter()
-        .find(|p| p.label() == label)
-        .unwrap_or_else(|| panic!("unknown protocol {label:?}"))
-}
-
-struct Args {
-    apps: Vec<&'static str>,
-    protocols: Vec<ProtocolKind>,
-    nprocs: usize,
-    scale: Scale,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        apps: all_apps().iter().map(|s| s.name).collect(),
-        protocols: PROTOCOLS.to_vec(),
-        nprocs: 8,
-        scale: Scale::Paper,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let val = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--apps" => {
-                args.apps = val
-                    .split(',')
-                    .map(|a| {
-                        app_by_name(a)
-                            .unwrap_or_else(|| panic!("unknown app {a:?}"))
-                            .name
-                    })
-                    .collect();
-            }
-            "--protocols" => {
-                args.protocols = val.split(',').map(protocol_by_label).collect();
-            }
-            "--nprocs" => args.nprocs = val.parse().expect("--nprocs"),
-            "--scale" => {
-                args.scale = match val.as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale {other:?}"),
-                }
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
-    args
-}
-
-/// Prove the region table for one (app, nprocs, scale) cell, exactly as
-/// the `regions` report bin does.
-fn region_table(spec: &AppSpec, nprocs: usize, scale: Scale) -> RegionTable {
-    let mut probe = spec.build_planned(scale);
-    let an = analyze(probe.as_mut(), nprocs);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    prove_regions(&an.plan, &an.layout, &sched)
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn percent(now: u64, base: u64) -> String {
-    let delta = now as f64 - base as f64;
-    format!("{:+.1}%", delta / base.max(1) as f64 * 100.0)
-}
-
-/// Measured cells, in run order: `(app, protocol, backend, elapsed ns)`.
-type Cells = Vec<(String, ProtocolKind, TransportKind, u64)>;
-
-fn elapsed_of(cells: &Cells, app: &str, p: ProtocolKind, b: TransportKind) -> Option<u64> {
-    cells
-        .iter()
-        .find(|(a, cp, cb, _)| a == app && *cp == p && *cb == b)
-        .map(|&(_, _, _, t)| t)
-}
-
-/// One family's update-vs-invalidate verdict on one backend.
+/// One family's update-vs-invalidate verdict on the backend at `variant`.
 fn winner(
-    cells: &Cells,
+    cells: &[Cell],
     app: &str,
     upd: ProtocolKind,
     inv: ProtocolKind,
-    backend: TransportKind,
+    variant: usize,
 ) -> Option<ProtocolKind> {
-    let tu = elapsed_of(cells, app, upd, backend)?;
-    let ti = elapsed_of(cells, app, inv, backend)?;
-    Some(if tu <= ti { upd } else { inv })
+    let elapsed = |p| {
+        cells
+            .iter()
+            .find(|c| c.app == app && c.protocol == p && c.variant == variant)
+            .map(Cell::elapsed_ns)
+    };
+    Some(if elapsed(upd)? <= elapsed(inv)? {
+        upd
+    } else {
+        inv
+    })
 }
 
 fn main() {
-    let args = parse_args();
-    assert!(args.nprocs >= 2, "the matrix needs at least two processes");
+    let args = CLI.parse(|_, _| Ok(false));
+    let backends = TransportKind::ALL
+        .map(|b| Variant::new(b.label(), move |cfg| cfg.sim.transport = b))
+        .into();
+    let matrix = Matrix::new(CLI.bin, &args, backends);
     println!("== dual-backend transport matrix ==");
     println!(
         "config: nprocs={} scale={} backends=two-sided,one-sided",
         args.nprocs,
-        match args.scale {
-            Scale::Small => "small",
-            Scale::Paper => "paper",
-        },
+        args.scale.label(),
     );
     println!();
 
+    let cells = matrix.run(host_threads());
     let mut t = TextTable::new(vec![
         "app",
         "protocol",
@@ -170,70 +88,23 @@ fn main() {
         "result",
         "verdict",
     ]);
-    let mut dirty: Vec<String> = Vec::new();
-    let mut cells: Cells = Vec::new();
-    for app in &args.apps {
-        let spec = app_by_name(app).unwrap();
-        for &protocol in &args.protocols {
-            let regions = protocol
-                .is_region()
-                .then(|| Arc::new(region_table(&spec, args.nprocs, args.scale)));
-            let mut base_elapsed = 0u64;
-            let mut base_checksum = 0.0f64;
-            for backend in BACKENDS {
-                let mut cfg = RunConfig::with_nprocs(protocol, args.nprocs);
-                cfg.regions.clone_from(&regions);
-                cfg.sim.transport = backend;
-                let (run, check) = checked_run(spec.build(args.scale).as_mut(), cfg);
-                let elapsed = run.elapsed.as_ns();
-                let clean = check.is_clean();
-                cells.push(((*app).to_string(), protocol, backend, elapsed));
-                let (delta, result) = if backend == TransportKind::TwoSided {
-                    base_elapsed = elapsed;
-                    base_checksum = run.checksum;
-                    ("base".to_string(), "ok".to_string())
-                } else {
-                    (
-                        percent(elapsed, base_elapsed),
-                        if run.checksum == base_checksum {
-                            "ok".to_string()
-                        } else {
-                            "DIFF".to_string()
-                        },
-                    )
-                };
-                if !clean || result == "DIFF" {
-                    let name = format!("{app}-{}-{}", protocol.label(), backend.label());
-                    let _ = std::fs::create_dir_all("results/repro");
-                    let path = format!("results/repro/transport-{name}.txt");
-                    let body = format!(
-                        "transport violation: {app} under {} on the {} backend\n\
-                         checksum: run {} vs two-sided {}\n{}",
-                        protocol.label(),
-                        backend.label(),
-                        run.checksum,
-                        base_checksum,
-                        check.summary()
-                    );
-                    if std::fs::write(&path, &body).is_ok() {
-                        eprintln!("--- {name}: violation report written to {path}");
-                    }
-                    eprintln!("{body}");
-                    dirty.push(name);
-                }
-                t.row(vec![
-                    spec.name.to_string(),
-                    protocol.label().to_string(),
-                    backend.label().to_string(),
-                    (elapsed / 1000).to_string(),
-                    delta,
-                    run.stats.net.paper_messages().to_string(),
-                    format!("{:.0}", run.stats.net.data_kbytes()),
-                    result,
-                    if clean { "clean" } else { "FLAGGED" }.to_string(),
-                ]);
-            }
-        }
+    for c in &cells {
+        let elapsed = c.elapsed_ns();
+        t.row(vec![
+            c.app.to_string(),
+            c.protocol.label().to_string(),
+            matrix.variants[c.variant].label.clone(),
+            (elapsed / 1000).to_string(),
+            if c.variant == 0 {
+                "base".to_string()
+            } else {
+                percent(elapsed as f64 - c.base_ns as f64, c.base_ns)
+            },
+            c.run.stats.net.paper_messages().to_string(),
+            format!("{:.0}", c.run.stats.net.data_kbytes()),
+            if c.checksum_ok() { "ok" } else { "DIFF" }.to_string(),
+            c.verdict(),
+        ]);
     }
     print!("{}", t.render());
 
@@ -253,12 +124,9 @@ fn main() {
         let mut compared = 0usize;
         for app in &args.apps {
             for &(upd, inv) in &pairs {
-                if !have(upd) || !have(inv) {
-                    continue;
-                }
                 let (Some(two), Some(one)) = (
-                    winner(&cells, app, upd, inv, TransportKind::TwoSided),
-                    winner(&cells, app, upd, inv, TransportKind::OneSided),
+                    winner(&cells, app, upd, inv, 0),
+                    winner(&cells, app, upd, inv, 1),
                 ) else {
                     continue;
                 };
@@ -278,13 +146,5 @@ fn main() {
         println!();
         println!("{flips} of {compared} family rankings flip on the one-sided backend");
     }
-
-    if !dirty.is_empty() {
-        eprintln!(
-            "{} transport cell(s) flagged: {}",
-            dirty.len(),
-            dirty.join(", ")
-        );
-        std::process::exit(1);
-    }
+    matrix.finish(&cells, Vec::new());
 }

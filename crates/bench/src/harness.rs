@@ -15,17 +15,25 @@ use dsm_apps::{all_apps, AppSpec, Scale};
 use dsm_core::{run_app, ProtocolKind, RunConfig, RunReport};
 use dsm_sim::Time;
 
-/// Run `worker` over `items` on at most `available_parallelism` threads,
-/// preserving item order in the results. The work queue is an atomic
-/// cursor: each worker claims the next unclaimed index until none remain.
-fn run_capped<T: Sync, R: Send>(items: &[T], worker: impl Fn(&T) -> R + Sync) -> Vec<R> {
+/// The host's available parallelism: the worker count every matrix uses
+/// unless a bin takes an explicit one (`explore --jobs`).
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Run `worker` over `items` on at most `threads` threads, preserving item
+/// order in the results. The work queue is an atomic cursor: each worker
+/// claims the next unclaimed index until none remain.
+pub fn run_capped<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    worker: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
-    let threads = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(n);
+    let threads = threads.clamp(1, n);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
@@ -138,9 +146,11 @@ pub fn run_matrix(
 
     // Baselines in parallel (capped).
     let baselines: HashMap<&'static str, (Time, f64)> =
-        run_capped(&specs, |spec| (spec.name, run_baseline(spec, scale, None)))
-            .into_iter()
-            .collect();
+        run_capped(&specs, host_threads(), |spec| {
+            (spec.name, run_baseline(spec, scale, None))
+        })
+        .into_iter()
+        .collect();
 
     // The matrix in parallel (capped).
     let mut plans = Vec::new();
@@ -149,7 +159,7 @@ pub fn run_matrix(
             plans.push(RunPlan::new(app, p, scale, nprocs));
         }
     }
-    let outcomes: Vec<Outcome> = run_capped(&plans, |plan| {
+    let outcomes: Vec<Outcome> = run_capped(&plans, host_threads(), |plan| {
         let (seq, _) = baselines[plan.app];
         run_one(plan, Some(seq))
     });

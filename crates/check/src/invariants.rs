@@ -549,7 +549,7 @@ mod tests {
         assert_eq!(v.len(), 1);
     }
 
-    fn region_table() -> Arc<RegionTable> {
+    fn two_writer_table() -> Arc<RegionTable> {
         use dsm_core::{PageCert, PageClass, WriterRegions};
         Arc::new(RegionTable::new(vec![PageCert {
             page: 7,
@@ -583,7 +583,7 @@ mod tests {
 
     #[test]
     fn certified_elision_is_clean() {
-        let mut inv = InvariantState::new(4, CopysetRule::PerPage, Some(region_table()));
+        let mut inv = InvariantState::new(4, CopysetRule::PerPage, Some(two_writer_table()));
         // p0's only proven reader is p1; eliding p2 and p3 is excused.
         let elided: CopySet = [2usize, 3].into_iter().collect();
         assert!(take(|v| inv.on_false_share_elided(0, 7, &elided, v)).is_empty());
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn eliding_a_proven_reader_flagged_once() {
-        let mut inv = InvariantState::new(4, CopysetRule::PerPage, Some(region_table()));
+        let mut inv = InvariantState::new(4, CopysetRule::PerPage, Some(two_writer_table()));
         // p1 is a proven reader of p0's spans: skipping it is ungrounded.
         let elided: CopySet = [1usize, 2].into_iter().collect();
         let v = take(|v| inv.on_false_share_elided(0, 7, &elided, v));
@@ -608,7 +608,7 @@ mod tests {
 
     #[test]
     fn elision_by_unknown_writer_flagged() {
-        let mut inv = InvariantState::new(4, CopysetRule::PerPage, Some(region_table()));
+        let mut inv = InvariantState::new(4, CopysetRule::PerPage, Some(two_writer_table()));
         // p2 holds no certificate on page 7.
         let v = take(|v| inv.on_false_share_elided(2, 7, &CopySet::single(3), v));
         assert_eq!(v.len(), 1);

@@ -12,36 +12,15 @@
 
 use std::sync::Arc;
 
-use dsm_apps::{app_by_name, AppSpec, Scale};
+use dsm_apps::{app_by_name, Scale};
 use dsm_check::checked_run;
 use dsm_core::{
-    CheckCtx, DsmApp, ExecCtx, PhaseEnd, PlantedBug, ProtocolKind, RegionTable, RunConfig,
-    SetupCtx, SharedArray,
+    CheckCtx, DsmApp, ExecCtx, PhaseEnd, PlantedBug, ProtocolKind, RunConfig, SetupCtx, SharedArray,
 };
-use dsm_plan::{analyze, build_schedule, prove_regions};
 use dsm_sim::fault::FaultProfile;
 use dsm_sim::transport::TransportKind;
 
 const NPROCS: usize = 4;
-
-const PROTOCOLS: [ProtocolKind; 7] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarS,
-    ProtocolKind::BarM,
-    ProtocolKind::BarR,
-];
-
-/// Prove the region table for one (app, nprocs) cell, exactly as the
-/// `regions` report bin does.
-fn region_table(spec: &AppSpec) -> RegionTable {
-    let mut probe = spec.build_planned(Scale::Small);
-    let an = analyze(probe.as_mut(), NPROCS);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    prove_regions(&an.plan, &an.layout, &sched)
-}
 
 /// Both backends, same cell: equal checksums, both clean.
 #[test]
@@ -56,8 +35,10 @@ fn one_sided_matches_two_sided_across_protocols_and_faults() {
             let spec = app_by_name(app).unwrap();
             let profiles = &profiles;
             scope.spawn(move || {
-                for protocol in PROTOCOLS {
-                    let regions = protocol.is_region().then(|| Arc::new(region_table(&spec)));
+                for protocol in ProtocolKind::REAL {
+                    let regions = protocol
+                        .is_region()
+                        .then(|| Arc::new(spec.prove_regions(Scale::Small, NPROCS).table));
                     for (label, profile) in profiles {
                         let mut checksums = Vec::new();
                         for backend in [TransportKind::TwoSided, TransportKind::OneSided] {

@@ -47,6 +47,26 @@ impl ProtocolKind {
         }
     }
 
+    /// Inverse of [`ProtocolKind::label`].
+    pub fn from_label(s: &str) -> Option<ProtocolKind> {
+        Self::REAL
+            .into_iter()
+            .chain([ProtocolKind::Seq])
+            .find(|p| p.label() == s)
+    }
+
+    /// The seven real protocols (every kind but `Seq`), in the order the
+    /// checked matrices list them.
+    pub const REAL: [ProtocolKind; 7] = [
+        ProtocolKind::LmwI,
+        ProtocolKind::LmwU,
+        ProtocolKind::BarI,
+        ProtocolKind::BarU,
+        ProtocolKind::BarS,
+        ProtocolKind::BarM,
+        ProtocolKind::BarR,
+    ];
+
     /// The four protocols of Table 1 / Figure 2, in paper order.
     pub const BASE_FOUR: [ProtocolKind; 4] = [
         ProtocolKind::LmwI,
@@ -252,6 +272,15 @@ mod tests {
     fn labels_match_paper() {
         assert_eq!(ProtocolKind::LmwI.label(), "lmw-i");
         assert_eq!(ProtocolKind::BarM.label(), "bar-m");
+    }
+
+    #[test]
+    fn labels_round_trip() {
+        for p in ProtocolKind::REAL.into_iter().chain([ProtocolKind::Seq]) {
+            assert_eq!(ProtocolKind::from_label(p.label()), Some(p));
+        }
+        assert_eq!(ProtocolKind::from_label("bar-x"), None);
+        assert_eq!(ProtocolKind::from_label(""), None);
     }
 
     #[test]

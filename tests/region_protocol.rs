@@ -17,7 +17,6 @@ use std::sync::Arc;
 use rdsm::apps::{app_by_name, Scale};
 use rdsm::check::checked_run;
 use rdsm::core::{PageClass, ProtocolKind, RunConfig};
-use rdsm::plan::{analyze, build_schedule, prove_regions};
 use rdsm::sim::prop::{check, Gen};
 use rdsm::vm::{Diff, DirtyRanges, PageBuf, PageId};
 
@@ -25,10 +24,7 @@ const NPROCS: usize = 8;
 
 fn race_protocols(name: &str) {
     let spec = app_by_name(name).expect("known app");
-    let mut probe = spec.build_planned(Scale::Small);
-    let an = analyze(probe.as_mut(), NPROCS);
-    let sched = build_schedule(&an.plan, ProtocolKind::BarR, an.iters);
-    let rt = Arc::new(prove_regions(&an.plan, &an.layout, &sched));
+    let rt = Arc::new(spec.prove_regions(Scale::Small, NPROCS).table);
     let false_shared: Vec<u32> = rt
         .iter()
         .filter(|c| c.class == PageClass::FalseShared)
