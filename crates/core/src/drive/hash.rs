@@ -363,11 +363,11 @@ impl Cluster {
             keys.sort_unstable();
             for k in keys {
                 h.u64(u64::from(k));
-                for (w, lo, hi, diff) in &lmw.pending_updates[&k] {
+                for (w, s) in &lmw.pending_updates[&k] {
                     h.u64(u64::from(*w));
-                    h.u64(*lo);
-                    h.u64(*hi);
-                    hash_diff(&mut h, diff);
+                    h.u64(s.lo);
+                    h.u64(s.hi);
+                    hash_diff(&mut h, &s.diff);
                 }
             }
             let mut keys: Vec<u32> = lmw.copysets.keys().copied().collect();
@@ -515,10 +515,15 @@ fn fold_sparse_sets(h: &mut StateHasher, sets: &dsm_sim::FastMap<u32, crate::pro
     }
 }
 
-fn hash_diff(h: &mut StateHasher, diff: &dsm_vm::Diff) {
+/// Fold a diff: its page, then each run's offset and bytes — the spans and
+/// the concatenated payload walked together.
+pub(crate) fn hash_diff(h: &mut StateHasher, diff: &dsm_vm::Diff) {
     h.u64(u64::from(diff.page.0));
-    for run in &diff.runs {
-        h.u64(u64::from(run.offset));
-        h.bytes(&run.data);
+    let mut payload = diff.data();
+    for &(offset, len) in diff.spans() {
+        let (run, rest) = payload.split_at(len as usize);
+        h.u64(u64::from(offset));
+        h.bytes(run);
+        payload = rest;
     }
 }

@@ -27,8 +27,10 @@
 //! insertion-dependent, and snapshot bytes must be a pure function of
 //! observable state so the golden-format test can diff them.
 
+use std::rc::Rc;
+
 use dsm_sim::{SnapReader, SnapWriter, Time, TimeBreakdown};
-use dsm_vm::{Diff, DiffRun, PageId};
+use dsm_vm::{Diff, PageId};
 
 use crate::drive::cluster::{Cluster, Proc};
 use crate::drive::hash::StateHasher;
@@ -41,23 +43,21 @@ use crate::proto::overdrive::OdMode;
 
 /// Write `diff`'s runs (the page id is implied by context).
 fn encode_runs(w: &mut SnapWriter, diff: &Diff) {
-    w.usize(diff.runs.len());
-    for run in &diff.runs {
-        w.u32(run.offset);
-        w.bytes(&run.data);
+    w.usize(diff.run_count());
+    for (offset, run) in diff.runs() {
+        w.u32(offset);
+        w.bytes(run);
     }
 }
 
 /// Read runs back into a [`Diff`] for `page`.
 fn decode_runs(r: &mut SnapReader<'_>, page: PageId) -> Diff {
-    let n = r.usize();
-    let mut runs = Vec::with_capacity(n);
-    for _ in 0..n {
+    let mut diff = Diff::new(page);
+    for _ in 0..r.usize() {
         let offset = r.u32();
-        let data = r.bytes().to_vec();
-        runs.push(DiffRun { offset, data });
+        diff.push_run(offset, r.bytes());
     }
-    Diff { page, runs }
+    diff
 }
 
 fn encode_clock(w: &mut SnapWriter, p: &Proc) {
@@ -263,19 +263,15 @@ impl Cluster {
                 w.u64(n.epoch);
             }
         });
-        encode_sorted(
-            w,
-            &p.lmw.pending_updates,
-            |w, ups: &Vec<(u16, u64, u64, Diff)>| {
-                w.usize(ups.len());
-                for (writer, lo, hi, diff) in ups {
-                    w.u16(*writer);
-                    w.u64(*lo);
-                    w.u64(*hi);
-                    encode_runs(w, diff);
-                }
-            },
-        );
+        encode_sorted(w, &p.lmw.pending_updates, |w, ups: &Vec<(u16, Segment)>| {
+            w.usize(ups.len());
+            for (writer, s) in ups {
+                w.u16(*writer);
+                w.u64(s.lo);
+                w.u64(s.hi);
+                encode_runs(w, &s.diff);
+            }
+        });
         encode_copyset_map(w, &p.lmw.copysets);
         {
             let mut keys: Vec<(u32, u16)> = p.lmw.applied.keys().copied().collect();
@@ -433,10 +429,7 @@ impl Cluster {
             let twin_runs = if twin_present {
                 decode_runs(r, page)
             } else {
-                Diff {
-                    page,
-                    runs: Vec::new(),
-                }
+                Diff::new(page)
             };
             p.store.frame_mut(page).restore_state(
                 &image[page.index()],
@@ -468,7 +461,7 @@ impl Cluster {
                 .map(|_| {
                     let lo = r.u64();
                     let hi = r.u64();
-                    let diff = decode_runs(r, PageId(page));
+                    let diff = Rc::new(decode_runs(r, PageId(page)));
                     Segment { lo, hi, diff }
                 })
                 .collect::<Vec<Segment>>()
@@ -489,10 +482,10 @@ impl Cluster {
                     let writer = r.u16();
                     let lo = r.u64();
                     let hi = r.u64();
-                    let diff = decode_runs(r, PageId(page));
-                    (writer, lo, hi, diff)
+                    let diff = Rc::new(decode_runs(r, PageId(page)));
+                    (writer, Segment { lo, hi, diff })
                 })
-                .collect::<Vec<(u16, u64, u64, Diff)>>()
+                .collect::<Vec<(u16, Segment)>>()
         });
         p.lmw.copysets = decode_copyset_map(r);
         p.lmw.applied = (0..r.usize())
@@ -546,4 +539,65 @@ fn encode_copyset_map(w: &mut SnapWriter, map: &dsm_sim::FastMap<u32, CopySet>) 
 
 fn decode_copyset_map(r: &mut SnapReader<'_>) -> dsm_sim::FastMap<u32, CopySet> {
     decode_sorted(r, |r, _| CopySet::decode_state(r))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::drive::hash::hash_diff;
+    use dsm_sim::prop::check;
+    use dsm_vm::PageBuf;
+
+    fn folded(diff: &Diff) -> u64 {
+        let mut h = StateHasher::new();
+        hash_diff(&mut h, diff);
+        h.finish()
+    }
+
+    /// encode → decode → encode reproduces the bytes and an equal diff,
+    /// and equal diffs fold to the same state hash however they were
+    /// built (scanned, decoded, or pushed run by run).
+    #[test]
+    fn diff_codec_round_trips_and_hashes_agree() {
+        check("diff_codec_round_trips_and_hashes_agree", 200, |g| {
+            let size = if g.chance(0.5) { 256 } else { 2048 };
+            let page = PageId(g.below(1 << 20) as u32);
+            let mut twin = PageBuf::zeroed(size);
+            twin.bytes_mut().copy_from_slice(&g.bytes(size));
+            let mut cur = twin.clone();
+            for _ in 0..g.range(0, 24) {
+                let len = g.range(1, 40);
+                let at = g.below(size - len);
+                cur.bytes_mut()[at..at + len].copy_from_slice(&g.bytes(len));
+            }
+            let diff = Diff::between(page, &twin, &cur);
+
+            let mut w = SnapWriter::new();
+            encode_runs(&mut w, &diff);
+            let bytes = w.into_bytes();
+            let decoded = decode_runs(&mut SnapReader::new(&bytes), page);
+            assert_eq!(decoded, diff);
+            let mut again = SnapWriter::new();
+            encode_runs(&mut again, &decoded);
+            assert_eq!(again.into_bytes(), bytes);
+
+            let mut pushed = Diff::new(page);
+            for (offset, run) in diff.runs() {
+                pushed.push_run(offset, run);
+            }
+            assert_eq!(folded(&decoded), folded(&diff));
+            assert_eq!(folded(&pushed), folded(&diff));
+            let first = diff.runs().next().map(|(offset, _)| offset);
+            if let Some(offset) = first {
+                let mut other = cur.clone();
+                other.bytes_mut()[offset as usize] ^= 1;
+                let changed = Diff::between(page, &twin, &other);
+                assert_ne!(
+                    folded(&changed),
+                    folded(&diff),
+                    "a changed byte moves the hash"
+                );
+            }
+        });
+    }
 }

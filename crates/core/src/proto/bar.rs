@@ -17,12 +17,15 @@
 //!   diffs directly to every consumer in the page's copyset, and consumers
 //!   apply them inside the barrier — no segv, no protection change.
 
+use std::rc::Rc;
+
 use dsm_net::{FlushKind, ReliableKind};
 use dsm_sim::{Category, Time};
 use dsm_vm::{Diff, FaultKind, Frame, PageId, Protection};
 
 use crate::check::CheckEvent;
 use crate::drive::cluster::Cluster;
+use crate::proto::lmw::Segment;
 use crate::proto::overdrive::OdMode;
 
 /// Wire bytes per (page, version) entry on barrier messages.
@@ -30,17 +33,20 @@ pub const BUMP_WIRE_BYTES: usize = 12;
 
 /// In-flight one-way messages queued during the pre-barrier step and
 /// consumed at release time, plus the barrier's version-bump ledger.
+/// A flushed diff is shared (`Rc`) by every queue entry that carries it:
+/// nothing mutates it in flight, and the last receiver to drop it returns
+/// its storage to the pool.
 #[derive(Default)]
 pub struct BarDeliveries {
     /// Diffs flushed to their home: `(home, page, diff, receiver leg)`.
     // audit: scratch: drained at release; barrier_core asserts it empty
-    pub home_flushes: Vec<(usize, PageId, Diff, Time)>,
+    pub home_flushes: Vec<(usize, PageId, Rc<Diff>, Time)>,
     /// Update pushes to consumers: `(dst, page, diff, receiver leg)`.
     // audit: scratch: drained at release; barrier_core asserts it empty
-    pub bar_updates: Vec<(usize, PageId, Diff, Time)>,
-    /// lmw-u update flushes: `(dst, page, writer, lo, hi, diff, receiver leg)`.
+    pub bar_updates: Vec<(usize, PageId, Rc<Diff>, Time)>,
+    /// lmw-u update flushes: `(dst, page, writer, segment, receiver leg)`.
     // audit: scratch: drained at release; barrier_core asserts it empty
-    pub lmw_updates: Vec<(usize, PageId, u16, u64, u64, Diff, Time)>,
+    pub lmw_updates: Vec<(usize, PageId, u16, Segment, Time)>,
     /// Pages bumped this barrier: `(page, old_version, new_version)`,
     /// page-sorted at collection time for deterministic iteration.
     // audit: scratch: cleared in barrier_core after homes fold the bumps
@@ -73,9 +79,9 @@ impl Cluster {
 
     pub(crate) fn bar_fault(&mut self, pid: usize, page: PageId, kind: FaultKind) {
         self.charge_segv(pid);
-        if kind.is_write() && self.od_mode == OdMode::Overdrive {
-            // A trapped write during overdrive is by definition
-            // unanticipated (anticipated pages were pre-enabled).
+        if kind.is_write() && self.od_mode == OdMode::Overdrive && !self.od_anticipated(pid, page) {
+            // A trapped write during overdrive is unanticipated: predicted
+            // pages were pre-enabled, and trap only after a lost flush.
             self.od_unanticipated(pid, page);
         }
         if kind.needs_validation() {
@@ -247,7 +253,9 @@ impl Cluster {
                     if self.od_mode == OdMode::Overdrive {
                         self.stats.overdrive_zero_diffs += 1;
                     }
+                    self.pool.put_diff(diff);
                 } else {
+                    let diff = Rc::new(diff);
                     let old = self.versions[page.index()];
                     self.bar_deliveries.bump(page, &mut self.versions);
                     let new = self.versions[page.index()];
@@ -280,7 +288,7 @@ impl Cluster {
                         self.bar_deliveries.home_flushes.push((
                             home,
                             page,
-                            diff.clone(),
+                            Rc::clone(&diff),
                             tr.receiver,
                         ));
                     }
@@ -308,7 +316,7 @@ impl Cluster {
                                 self.bar_deliveries.bar_updates.push((
                                     q,
                                     page,
-                                    diff.clone(),
+                                    Rc::clone(&diff),
                                     out.transit.receiver,
                                 ));
                                 if out.duplicated {
@@ -325,17 +333,17 @@ impl Cluster {
                                     self.bar_deliveries.bar_updates.push((
                                         q,
                                         page,
-                                        diff.clone(),
+                                        Rc::clone(&diff),
                                         out.transit.receiver,
                                     ));
                                 }
                             }
                         }
                     }
+                    // The queues hold the diff now; the last receiver to
+                    // drop it returns its storage to the pool.
+                    self.pool.put_shared(diff);
                 }
-                // The clones rode into the delivery queues; the original's
-                // storage goes back to the free-lists.
-                self.pool.put_diff(diff);
             } else {
                 // Home wrote, no consumers needing a diff: version bump only
                 // ("modifications made by the home node are merely noted
@@ -374,7 +382,7 @@ impl Cluster {
             self.charge(pid, Category::Os, cost);
             self.materialize_home_frame(pid, page);
             self.procs[pid].store.frame_mut(page).apply_diff(&diff);
-            self.pool.put_diff(diff);
+            self.pool.put_shared(diff);
         }
 
         // 2. The home's copy is current for every page bumped this barrier.
@@ -396,7 +404,7 @@ impl Cluster {
         let (mine, rest): (Vec<_>, Vec<_>) = all.into_iter().partition(|(d, ..)| *d == pid);
         self.bar_deliveries.bar_updates = rest;
         let mine = self.delivery_order(mine, |t| t.1 .0);
-        let mut by_page: Vec<(PageId, Vec<Diff>)> = Vec::new();
+        let mut by_page: Vec<(PageId, Vec<Rc<Diff>>)> = Vec::new();
         for (_, page, diff, recv) in mine {
             self.charge(pid, Category::Sigio, recv);
             match by_page.iter_mut().find(|(p, _)| *p == page) {
@@ -408,7 +416,7 @@ impl Cluster {
             if self.homes[page.index()] == pid {
                 continue;
             }
-            let received: &[Diff] = by_page
+            let received: &[Rc<Diff>] = by_page
                 .iter()
                 .find(|(p, _)| *p == page)
                 .map_or(&[], |(_, v)| v.as_slice());
@@ -444,7 +452,7 @@ impl Cluster {
         // The update diffs' lifetime ends here; recycle their storage.
         for (_, diffs) in by_page {
             for d in diffs {
-                self.pool.put_diff(d);
+                self.pool.put_shared(d);
             }
         }
 

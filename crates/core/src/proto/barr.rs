@@ -32,6 +32,8 @@
 //! expected-update count (an elided member must not mistake the missing
 //! push for a lost flush and invalidate a provably clean copy).
 
+use std::rc::Rc;
+
 use dsm_net::{FlushKind, ReliableKind};
 use dsm_sim::Category;
 use dsm_vm::{Diff, PageId};
@@ -134,12 +136,12 @@ impl Cluster {
         let scan = self.cfg.sim.costs.diff_create(captured);
         self.charge(pid, Category::Os, scan);
         self.stats.diffs_created += 1;
-        let diff = Diff::capture_in(
+        let diff = Rc::new(Diff::capture_in(
             page,
             self.procs[pid].store.frame(page).expect("frame").data(),
             &spans,
             &mut self.pool,
-        );
+        ));
         self.procs[pid]
             .store
             .frame_mut(page)
@@ -177,7 +179,7 @@ impl Cluster {
             }
             self.bar_deliveries
                 .home_flushes
-                .push((home, page, diff.clone(), tr.receiver));
+                .push((home, page, Rc::clone(&diff), tr.receiver));
         }
 
         // Update pushes: full-copyset event (the copyset-omission
@@ -208,20 +210,20 @@ impl Cluster {
                 Some(lq) => {
                     let clipped = clip_to_spans(spans.iter().copied(), lq);
                     if clipped == spans {
-                        diff.clone()
+                        Rc::clone(&diff)
                     } else {
-                        Diff::capture_in(
+                        Rc::new(Diff::capture_in(
                             page,
                             self.procs[pid].store.frame(page).expect("frame").data(),
                             &clipped,
                             &mut self.pool,
-                        )
+                        ))
                     }
                 }
                 // No load footprint recorded for a proven reader: the
                 // bitmap was computed from the same data, so this cannot
                 // happen with a prover-built table — stay conservative.
-                None => diff.clone(),
+                None => Rc::clone(&diff),
             };
             self.stats.region_push_bytes_saved += (diff.wire_bytes() - pdiff.wire_bytes()) as u64;
             let now = self.procs[pid].clock.now();
@@ -235,7 +237,7 @@ impl Cluster {
                 self.bar_deliveries.bar_updates.push((
                     q,
                     page,
-                    pdiff.clone(),
+                    Rc::clone(&pdiff),
                     out.transit.receiver,
                 ));
                 if out.duplicated {
@@ -247,12 +249,12 @@ impl Cluster {
                     self.bar_deliveries.bar_updates.push((
                         q,
                         page,
-                        pdiff.clone(),
+                        Rc::clone(&pdiff),
                         out.transit.receiver,
                     ));
                 }
             }
-            self.pool.put_diff(pdiff);
+            self.pool.put_shared(pdiff);
         }
         if !elided.is_empty() {
             self.emit(CheckEvent::FalseShareElided {
@@ -261,7 +263,7 @@ impl Cluster {
                 elided: &elided,
             });
         }
-        self.pool.put_diff(diff);
+        self.pool.put_shared(diff);
         true
     }
 

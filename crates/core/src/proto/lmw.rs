@@ -23,6 +23,9 @@
 //!   to see if all required diffs are present when the next access to that
 //!   page occurs. This next access is signaled by a segmentation fault."
 
+use std::borrow::Cow;
+use std::rc::Rc;
+
 use dsm_net::{FlushKind, ReliableKind};
 use dsm_sim::{Category, FastMap, Time};
 use dsm_vm::{Diff, FaultKind, Frame, PageBuf, PageId, Protection};
@@ -37,12 +40,13 @@ use crate::proto::notice::{WriteNotice, NOTICE_WIRE_BYTES};
 /// `[lo, hi]`. Foreign notices force sealing, so no other process wrote the
 /// page within `[lo, hi)`; concurrent writes *at* `hi` are disjoint
 /// (race-free programs), which makes `(hi, lo, writer)` a sound application
-/// order.
+/// order. A sealed diff never changes, so it is shared (`Rc`) with every
+/// update flush and fetch that carries it rather than copied.
 #[derive(Clone, Debug)]
 pub struct Segment {
     pub lo: u64,
     pub hi: u64,
-    pub diff: Diff,
+    pub diff: Rc<Diff>,
 }
 
 /// Per-process homeless-protocol state.
@@ -56,8 +60,8 @@ pub struct LmwProc {
     pub pending: FastMap<u32, (u64, u64)>,
     /// Write notices received but not yet applied locally, per page.
     pub known_notices: FastMap<u32, Vec<WriteNotice>>,
-    /// lmw-u: updates that arrived by flush: page → (writer, lo, hi, diff).
-    pub pending_updates: FastMap<u32, Vec<(u16, u64, u64, Diff)>>,
+    /// lmw-u: updates that arrived by flush: page → (writer, segment).
+    pub pending_updates: FastMap<u32, Vec<(u16, Segment)>>,
     /// lmw-u: this process's view of who caches each page it writes.
     pub copysets: FastMap<u32, CopySet>,
     /// Per (page, writer): highest segment `hi` applied locally. Together
@@ -136,7 +140,11 @@ impl Cluster {
             .segments
             .entry(page.0)
             .or_default()
-            .push(Segment { lo, hi, diff });
+            .push(Segment {
+                lo,
+                hi,
+                diff: Rc::new(diff),
+            });
         true
     }
 
@@ -178,7 +186,7 @@ impl Cluster {
             return;
         }
 
-        let mut to_apply: Vec<(u64, u64, u16, Diff)> = Vec::new();
+        let mut to_apply: Vec<(u64, u64, u16, Rc<Diff>)> = Vec::new();
 
         // lmw-u: consult the pending-update store — this per-fault scan is
         // exactly the data-structure overhead the paper blames for
@@ -196,10 +204,10 @@ impl Cluster {
                 .unwrap_or_default();
             let lookup = Time::from_ns(self.cfg.sim.costs.update_store_lookup_ns);
             self.charge(pid, Category::Os, lookup.scale(stored.len().max(1) as u64));
-            for (w, lo, hi, diff) in stored {
-                if hi > applied_w(&self.procs[pid].lmw, w) {
-                    covered.entry(w).or_default().push((lo, hi));
-                    to_apply.push((hi, lo, w, diff));
+            for (w, s) in stored {
+                if s.hi > applied_w(&self.procs[pid].lmw, w) {
+                    covered.entry(w).or_default().push((s.lo, s.hi));
+                    to_apply.push((s.hi, s.lo, w, s.diff));
                 }
             }
         }
@@ -249,13 +257,16 @@ impl Cluster {
             }
             let now = self.procs[pid].clock.now();
             let since = applied_w(&self.procs[pid].lmw, w);
-            let segs: Vec<Segment> = self.procs[writer]
+            let segs: &[Segment] = self.procs[writer]
                 .lmw
                 .segments
                 .get(&page.0)
-                .map(|v| v.iter().filter(|s| s.hi > since).cloned().collect())
-                .unwrap_or_default();
-            let reply_bytes: usize = segs.iter().map(|s| s.diff.wire_bytes()).sum();
+                .map_or(&[], Vec::as_slice);
+            let reply_bytes: usize = segs
+                .iter()
+                .filter(|s| s.hi > since)
+                .map(|s| s.diff.wire_bytes())
+                .sum();
             let prep = Time::from_ns(self.cfg.sim.costs.page_prep_ns);
             let d = self.net.fetch(
                 pid,
@@ -284,13 +295,14 @@ impl Cluster {
                 });
             }
             self.charge(writer, Category::Sigio, d.server_cpu);
-            for s in segs {
+            let segs = self.procs[writer].lmw.segments.get(&page.0);
+            for s in segs.into_iter().flatten().filter(|s| s.hi > since) {
                 // Skip duplicates of segments already covered by updates.
                 if !to_apply
                     .iter()
                     .any(|(hi, lo, tw, _)| *tw == w && *hi == s.hi && *lo == s.lo)
                 {
-                    to_apply.push((s.hi, s.lo, w, s.diff));
+                    to_apply.push((s.hi, s.lo, w, Rc::clone(&s.diff)));
                 }
             }
             if self.cfg.protocol == ProtocolKind::LmwU {
@@ -321,7 +333,7 @@ impl Cluster {
             *e = (*e).max(*hi);
         }
         for (_, _, _, diff) in to_apply {
-            self.pool.put_diff(diff);
+            self.pool.put_shared(diff);
         }
 
         self.set_prot(pid, page, Protection::Read);
@@ -463,9 +475,7 @@ impl Cluster {
                             q,
                             page,
                             pid as u16,
-                            seg.lo,
-                            seg.hi,
-                            seg.diff.clone(),
+                            seg.clone(),
                             out.transit.receiver,
                         ));
                         if out.duplicated {
@@ -482,9 +492,7 @@ impl Cluster {
                                 q,
                                 page,
                                 pid as u16,
-                                seg.lo,
-                                seg.hi,
-                                seg.diff.clone(),
+                                seg.clone(),
                                 out.transit.receiver,
                             ));
                         }
@@ -558,7 +566,7 @@ impl Cluster {
         let (mine, rest): (Vec<_>, Vec<_>) = all.into_iter().partition(|(dst, ..)| *dst == pid);
         self.bar_deliveries.lmw_updates = rest;
         let mine = self.delivery_order(mine, |t| t.1 .0);
-        for (_, page, writer, lo, hi, diff, recv) in mine {
+        for (_, page, writer, seg, recv) in mine {
             self.charge(pid, Category::Sigio, recv);
             // Insertion slows down as the out-of-order store grows — stale
             // copyset members never drain theirs (the Barnes pathology).
@@ -579,7 +587,7 @@ impl Cluster {
                 .pending_updates
                 .entry(page.0)
                 .or_default()
-                .push((writer, lo, hi, diff));
+                .push((writer, seg));
         }
     }
 
@@ -621,12 +629,12 @@ impl Cluster {
             let lmw = &mut self.procs[pid].lmw;
             for (_, segs) in lmw.segments.drain() {
                 for s in segs {
-                    self.pool.put_diff(s.diff);
+                    self.pool.put_shared(s.diff);
                 }
             }
             for (_, ups) in lmw.pending_updates.drain() {
-                for (_, _, _, d) in ups {
-                    self.pool.put_diff(d);
+                for (_, s) in ups {
+                    self.pool.put_shared(s.diff);
                 }
             }
             lmw.known_notices.clear();
@@ -653,14 +661,10 @@ impl Cluster {
                 .unwrap_or(0)
                 .max(floor)
         };
-        let notices = p0
-            .lmw
-            .known_notices
-            .get(&page.0)
-            .cloned()
-            .unwrap_or_default();
-        // Gather every relevant sealed segment plus each writer's unsealed
-        // accumulation (as a virtual diff), then apply in interval order.
+        let notices: &[WriteNotice] = p0.lmw.known_notices.get(&page.0).map_or(&[], Vec::as_slice);
+        // Gather every relevant sealed segment (borrowed) plus each writer's
+        // unsealed accumulation (built as a virtual diff), then apply in
+        // interval order.
         let mut writers: Vec<u16> = notices
             .iter()
             .filter(|n| n.writer != 0)
@@ -668,21 +672,21 @@ impl Cluster {
             .collect();
         writers.sort_unstable();
         writers.dedup();
-        let mut to_apply: Vec<(u64, u64, u16, Diff)> = Vec::new();
+        let mut to_apply: Vec<(u64, u64, u16, Cow<'_, Diff>)> = Vec::new();
         for w in writers {
             let since = applied_w(w);
             let proc = &self.procs[w as usize];
             if let Some(segs) = proc.lmw.segments.get(&page.0) {
                 for s in segs {
                     if s.hi > since {
-                        to_apply.push((s.hi, s.lo, w, s.diff.clone()));
+                        to_apply.push((s.hi, s.lo, w, Cow::Borrowed(&*s.diff)));
                     }
                 }
             }
             if let Some(&(lo, hi)) = proc.lmw.pending.get(&page.0) {
                 if let Some(f) = proc.store.frame(page) {
                     if f.has_twin() && hi > since {
-                        to_apply.push((hi, lo, w, f.diff_against_twin(page)));
+                        to_apply.push((hi, lo, w, Cow::Owned(f.diff_against_twin(page))));
                     }
                 }
             }

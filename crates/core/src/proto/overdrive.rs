@@ -143,6 +143,19 @@ impl Cluster {
             for pg in predicted {
                 let page = PageId(pg);
                 self.materialize_pristine(pid, page);
+                // A lossy wire can drop an update flush to a predicted
+                // page; the release then invalidates the stale copy (for
+                // bar-m, that is the one protection change overdrive
+                // cannot avoid). Arming it would twin stale bytes — the
+                // next diff would carry other writers' old words — and,
+                // for bar-s, make them readable without a fetch. Leave
+                // such a page to the ordinary fault path, which fetches
+                // before it twins; `od_anticipated` keeps that trap from
+                // counting as a divergence.
+                let prot = self.procs[pid].store.protection(page);
+                if !prot.readable() {
+                    continue;
+                }
                 // "We therefore make a twin of x and make it writable
                 // before we leave barrier 1" — every predicted page is
                 // twinned eagerly; for pages the home effect would not have
@@ -154,13 +167,12 @@ impl Cluster {
                     .refresh_twin_in(&mut self.pool);
                 self.charge(pid, Category::Os, twin_cost);
                 self.stats.twins += 1;
-                if bar_s {
+                // bar-m pages stay writable from engagement on, unless a
+                // lost flush invalidated one and a read fault re-fetched
+                // it since: re-enable it, or the next write would trap and
+                // push the page onto the dirty list a second time.
+                if bar_s || !prot.writable() {
                     self.set_prot(pid, page, Protection::ReadWrite);
-                } else {
-                    debug_assert!(
-                        self.procs[pid].store.protection(page).writable(),
-                        "bar-m pre-enabled page lost write permission"
-                    );
                 }
                 self.procs[pid].dirty.push(page);
             }
@@ -178,6 +190,22 @@ impl Cluster {
                     }
                 }
             }
+        }
+    }
+
+    /// True if `pid` was predicted to write `page` in the current epoch
+    /// (bar-s), or holds it in its pre-enabled union (bar-m). Such a page
+    /// traps during overdrive only when a lost update flush invalidated
+    /// it, which says nothing about the write sets: the trap is not a
+    /// divergence.
+    pub(crate) fn od_anticipated(&self, pid: usize, page: PageId) -> bool {
+        let od = &self.procs[pid].od;
+        if self.cfg.protocol == ProtocolKind::BarM {
+            od.pre_enabled.contains(&page.0)
+        } else {
+            od.prev_sites
+                .get(self.site)
+                .is_some_and(|s| s.contains(&page.0))
         }
     }
 

@@ -19,17 +19,6 @@ use dsm_sim::prop::{check, Gen};
 use dsm_sim::FaultProfile;
 use dsm_snap::{restore_run, snapshot_run};
 
-/// All protocols a snapshot must survive (Seq has no cluster run).
-const PROTOCOLS: [ProtocolKind; 7] = [
-    ProtocolKind::LmwI,
-    ProtocolKind::LmwU,
-    ProtocolKind::BarI,
-    ProtocolKind::BarU,
-    ProtocolKind::BarR,
-    ProtocolKind::BarS,
-    ProtocolKind::BarM,
-];
-
 /// A small app exercising every snapshot facet: multi-page shared writes
 /// and reads (frames, twins, diffs, protocol tables), a reduction phase
 /// (reduce scratch memory), and private mutable state outside the segment
@@ -226,7 +215,9 @@ fn prop_snapshot_round_trip_all_protocols() {
     // Every protocol appears at least twice across the case stream; fault
     // and zero-fault profiles are interleaved by the generator.
     check("snapshot-round-trip", 21, |g| {
-        let proto = PROTOCOLS[g.below(PROTOCOLS.len())];
+        // Every real protocol a snapshot must survive (Seq has no
+        // cluster run).
+        let proto = ProtocolKind::REAL[g.below(ProtocolKind::REAL.len())];
         let nprocs = g.range(2, 5);
         let iters = g.range(3, 7);
         let mut cfg = RunConfig::with_nprocs(proto, nprocs);

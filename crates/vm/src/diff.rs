@@ -6,6 +6,13 @@
 //! TreadMarks/CVM mechanism the paper describes: "A diff is a run-length
 //! encoding of the changes made to a single virtual memory page."
 //!
+//! Storage is flat: a diff is one span list of `(offset, len)` pairs plus
+//! one payload vector holding every run's bytes concatenated in span order
+//! — two allocations per diff however many runs it has. A red-black sweep
+//! that changes every other word yields hundreds of 8-byte runs per page,
+//! and a vector per run would make building (and copying) such a diff cost
+//! as many heap allocations.
+//!
 //! Two host-side fast paths (neither changes the produced runs by a byte):
 //!
 //! * **range scanning** — [`Diff::between_ranges`] restricts the comparison
@@ -23,16 +30,8 @@ use crate::dirty::DirtyRanges;
 use crate::page::PageId;
 use crate::pool::BufPool;
 
-/// One contiguous modified byte range.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DiffRun {
-    /// Byte offset within the page.
-    pub offset: u32,
-    /// The new bytes.
-    pub data: Vec<u8>,
-}
-
-/// All modifications to one page in one interval.
+/// All modifications to one page in one interval: a list of runs, each a
+/// contiguous modified byte range and its new bytes.
 ///
 /// ```
 /// use dsm_vm::{Diff, PageBuf, PageId};
@@ -42,18 +41,22 @@ pub struct DiffRun {
 /// cur.bytes_mut()[128] = 0xAB;
 ///
 /// let diff = Diff::between(PageId(0), &twin, &cur);
-/// assert_eq!(diff.runs.len(), 1);
+/// assert_eq!(diff.run_count(), 1);
+/// assert_eq!(diff.runs().next().map(|(off, run)| (off, run.len())), Some((128, 8)));
 ///
 /// let mut rebuilt = twin.clone();
 /// diff.apply_to(&mut rebuilt);
 /// assert_eq!(rebuilt.bytes(), cur.bytes());
 /// ```
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diff {
     /// The page this diff applies to.
     pub page: PageId,
-    /// Modified ranges, in ascending non-overlapping offset order.
-    pub runs: Vec<DiffRun>,
+    /// One `(byte offset, length)` per run, in ascending non-overlapping
+    /// offset order.
+    spans: Vec<(u32, u32)>,
+    /// Every run's new bytes, concatenated in span order.
+    data: Vec<u8>,
 }
 
 /// Comparison granularity: diffs are computed on 8-byte words, matching the
@@ -65,29 +68,9 @@ const WORD: usize = 8;
 const CHUNK_WORDS: usize = 32;
 
 /// Scan the word span `[lo, hi)` (word indices) of `tw`/`cw`, appending
-/// runs for every differing word (adjacent differing words coalesce).
-/// `cb` is the current page as bytes, for run payload extraction.
-fn scan_span(
-    runs: &mut Vec<DiffRun>,
-    pool: &mut Option<&mut BufPool>,
-    tw: &[u64],
-    cw: &[u64],
-    cb: &[u8],
-    lo: usize,
-    hi: usize,
-) {
-    let mut push_run = |pool: &mut Option<&mut BufPool>, start_w: usize, end_w: usize| {
-        let (s, e) = (start_w * WORD, end_w * WORD);
-        let mut data = match pool {
-            Some(p) => p.take_run_buf(),
-            None => Vec::new(),
-        };
-        data.extend_from_slice(&cb[s..e]);
-        runs.push(DiffRun {
-            offset: s as u32,
-            data,
-        });
-    };
+/// runs to `diff` for every differing word (adjacent differing words
+/// coalesce). `cb` is the current page as bytes, for run payloads.
+fn scan_span(diff: &mut Diff, tw: &[u64], cw: &[u64], cb: &[u8], lo: usize, hi: usize) {
     let mut w = lo;
     while w < hi {
         // Fast path: skip clean chunks with a memcmp-style slice compare.
@@ -110,7 +93,8 @@ fn scan_span(
         while w < hi && tw[w] != cw[w] {
             w += 1;
         }
-        push_run(pool, start, w);
+        let (s, e) = (start * WORD, w * WORD);
+        diff.push_run(s as u32, &cb[s..e]);
     }
 }
 
@@ -121,13 +105,13 @@ fn scan(
     twin: &PageBuf,
     current: &PageBuf,
     ranges: Option<&DirtyRanges>,
-    mut pool: Option<&mut BufPool>,
+    pool: Option<&mut BufPool>,
 ) -> Diff {
     assert_eq!(twin.len(), current.len(), "page size mismatch");
     let len = twin.len();
-    let mut runs = match pool.as_deref_mut() {
-        Some(p) => p.take_runs(),
-        None => Vec::new(),
+    let mut diff = match pool {
+        Some(p) => p.take_diff(page),
+        None => Diff::new(page),
     };
     let tw = twin.typed::<u64>(0..len);
     let cw = current.typed::<u64>(0..len);
@@ -137,15 +121,25 @@ fn scan(
             for (s, e) in r.iter() {
                 let lo = s as usize / WORD;
                 let hi = (e as usize).min(len) / WORD;
-                scan_span(&mut runs, &mut pool, tw, cw, cb, lo, hi);
+                scan_span(&mut diff, tw, cw, cb, lo, hi);
             }
         }
-        _ => scan_span(&mut runs, &mut pool, tw, cw, cb, 0, len / WORD),
+        _ => scan_span(&mut diff, tw, cw, cb, 0, len / WORD),
     }
-    Diff { page, runs }
+    diff
 }
 
 impl Diff {
+    /// An empty diff for `page` — no runs; runs are added with
+    /// [`Diff::push_run`].
+    pub fn new(page: PageId) -> Diff {
+        Diff {
+            page,
+            spans: Vec::new(),
+            data: Vec::new(),
+        }
+    }
+
     /// Compute the diff between `twin` (contents at the first write) and
     /// `current` by a full-page scan. Runs cover every word that differs;
     /// adjacent differing words coalesce into a single run.
@@ -166,7 +160,7 @@ impl Diff {
         scan(page, twin, current, Some(ranges), None)
     }
 
-    /// [`Diff::between_ranges`] drawing run storage from `pool`.
+    /// [`Diff::between_ranges`] drawing its storage from `pool`.
     pub fn between_ranges_in(
         page: PageId,
         twin: &PageBuf,
@@ -185,68 +179,105 @@ impl Diff {
     /// the freshest value of those words, so shipping them verbatim
     /// commutes with every concurrent writer's delta by construction.
     pub fn capture(page: PageId, current: &PageBuf, spans: &[(u32, u32)]) -> Diff {
-        Self::capture_impl(page, current, spans, None)
+        Self::capture_into(Diff::new(page), current, spans)
     }
 
-    /// [`Diff::capture`] drawing run storage from `pool`.
+    /// [`Diff::capture`] drawing its storage from `pool`.
     pub fn capture_in(
         page: PageId,
         current: &PageBuf,
         spans: &[(u32, u32)],
         pool: &mut BufPool,
     ) -> Diff {
-        Self::capture_impl(page, current, spans, Some(pool))
+        Self::capture_into(pool.take_diff(page), current, spans)
     }
 
-    fn capture_impl(
-        page: PageId,
-        current: &PageBuf,
-        spans: &[(u32, u32)],
-        mut pool: Option<&mut BufPool>,
-    ) -> Diff {
+    fn capture_into(mut diff: Diff, current: &PageBuf, spans: &[(u32, u32)]) -> Diff {
         let len = current.len() as u32;
         let cb = current.bytes();
-        let mut runs = match pool.as_deref_mut() {
-            Some(p) => p.take_runs(),
-            None => Vec::new(),
-        };
         for &(s, e) in spans {
             let e = e.min(len);
-            if s >= e {
-                continue;
+            if s < e {
+                diff.push_run(s, &cb[s as usize..e as usize]);
             }
-            let mut data = match pool.as_deref_mut() {
-                Some(p) => p.take_run_buf(),
-                None => Vec::new(),
-            };
-            data.extend_from_slice(&cb[s as usize..e as usize]);
-            runs.push(DiffRun { offset: s, data });
         }
-        Diff { page, runs }
+        diff
+    }
+
+    /// Append a run writing `bytes` at byte `offset`. Runs must be pushed
+    /// in ascending offset order and must not overlap.
+    pub fn push_run(&mut self, offset: u32, bytes: &[u8]) {
+        debug_assert!(
+            self.spans.last().is_none_or(|&(o, l)| o + l <= offset),
+            "diff runs must ascend without overlap"
+        );
+        let len = u32::try_from(bytes.len()).expect("a run never exceeds a page");
+        self.spans.push((offset, len));
+        self.data.extend_from_slice(bytes);
+    }
+
+    /// The runs in offset order, as `(byte offset, new bytes)`.
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = (u32, &[u8])> + '_ {
+        let mut at = 0usize;
+        self.spans.iter().map(move |&(offset, len)| {
+            let run = &self.data[at..at + len as usize];
+            at += len as usize;
+            (offset, run)
+        })
+    }
+
+    /// The runs' `(byte offset, length)` spans, in offset order.
+    pub fn spans(&self) -> &[(u32, u32)] {
+        &self.spans
+    }
+
+    /// Every run's bytes, concatenated in span order.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// Number of runs.
+    pub fn run_count(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Empty both vectors, keeping their capacity, and retarget the diff
+    /// at `page` — how a pooled diff is reused.
+    pub(crate) fn reset(&mut self, page: PageId) {
+        self.page = page;
+        self.spans.clear();
+        self.data.clear();
+    }
+
+    /// Payload capacity held — what a pooled diff carries over.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// True if the twin and current contents were identical — the paper's
     /// "zero-length diff", which overdrive protocols use to skip flushes.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.spans.is_empty()
     }
 
     /// Total payload bytes carried by the runs.
     pub fn payload_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.data.len()).sum()
+        self.data.len()
     }
 
     /// Wire size: page id + run count header plus, per run, offset + length
     /// headers and the payload.
     pub fn wire_bytes(&self) -> usize {
-        8 + self.runs.iter().map(|r| 8 + r.data.len()).sum::<usize>()
+        8 + 8 * self.spans.len() + self.data.len()
     }
 
     /// Apply this diff's runs to `target`.
     pub fn apply_to(&self, target: &mut PageBuf) {
-        for run in &self.runs {
-            let start = run.offset as usize;
-            target.bytes_mut()[start..start + run.data.len()].copy_from_slice(&run.data);
+        let bytes = target.bytes_mut();
+        for (offset, run) in self.runs() {
+            let start = offset as usize;
+            bytes[start..start + run.len()].copy_from_slice(run);
         }
     }
 
@@ -254,16 +285,12 @@ impl Diff {
     /// diffs of a data-race-free program are always disjoint, which is what
     /// makes multi-writer merging sound.
     pub fn disjoint_from(&self, other: &Diff) -> bool {
-        for a in &self.runs {
-            let (a0, a1) = (a.offset as usize, a.offset as usize + a.data.len());
-            for b in &other.runs {
-                let (b0, b1) = (b.offset as usize, b.offset as usize + b.data.len());
-                if a0 < b1 && b0 < a1 {
-                    return false;
-                }
-            }
-        }
-        true
+        self.spans.iter().all(|&(a0, al)| {
+            other
+                .spans
+                .iter()
+                .all(|&(b0, bl)| a0 + al <= b0 || b0 + bl <= a0)
+        })
     }
 }
 
@@ -294,10 +321,11 @@ mod tests {
         let twin = PageBuf::zeroed(256);
         let cur = page_with(&[(17, 0xFF)], 256);
         let d = Diff::between(PageId(1), &twin, &cur);
-        assert_eq!(d.runs.len(), 1);
+        assert_eq!(d.run_count(), 1);
         // Word granularity: the run covers the containing 8-byte word.
-        assert_eq!(d.runs[0].offset, 16);
-        assert_eq!(d.runs[0].data.len(), 8);
+        let (offset, run) = d.runs().next().unwrap();
+        assert_eq!(offset, 16);
+        assert_eq!(run.len(), 8);
     }
 
     #[test]
@@ -305,9 +333,7 @@ mod tests {
         let twin = PageBuf::zeroed(256);
         let cur = page_with(&[(8, 1), (16, 2), (24, 3)], 256);
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset, 8);
-        assert_eq!(d.runs[0].data.len(), 24);
+        assert_eq!(d.spans(), &[(8, 24)]);
     }
 
     #[test]
@@ -315,7 +341,7 @@ mod tests {
         let twin = PageBuf::zeroed(256);
         let cur = page_with(&[(0, 1), (128, 2)], 256);
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 2);
+        assert_eq!(d.spans(), &[(0, 8), (128, 8)]);
     }
 
     #[test]
@@ -323,8 +349,8 @@ mod tests {
         let twin = PageBuf::zeroed(64);
         let cur = page_with(&[(63, 9)], 64);
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset, 56);
+        assert_eq!(d.run_count(), 1);
+        assert_eq!(d.spans()[0].0, 56);
     }
 
     #[test]
@@ -337,9 +363,7 @@ mod tests {
             *b = 7;
         }
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset as usize, boundary - 16);
-        assert_eq!(d.runs[0].data.len(), 32);
+        assert_eq!(d.spans(), &[((boundary - 16) as u32, 32)]);
     }
 
     #[test]
@@ -371,7 +395,7 @@ mod tests {
         let twin = PageBuf::zeroed(64);
         let cur = page_with(&[(0, 1), (32, 1)], 64);
         let d = Diff::between(PageId(0), &twin, &cur);
-        assert_eq!(d.runs.len(), 2);
+        assert_eq!(d.run_count(), 2);
         assert_eq!(d.payload_bytes(), 16);
         assert_eq!(d.wire_bytes(), 8 + (8 + 8) + (8 + 8));
     }
@@ -400,15 +424,15 @@ mod tests {
     fn capture_ships_span_contents_verbatim() {
         let cur = page_with(&[(8, 1), (9, 2), (64, 3)], 128);
         let d = Diff::capture(PageId(7), &cur, &[(8, 16), (64, 72)]);
-        assert_eq!(d.runs.len(), 2);
-        assert_eq!(d.runs[0].offset, 8);
-        assert_eq!(&d.runs[0].data[..2], &[1, 2]);
-        assert_eq!(d.runs[1].offset, 64);
-        assert_eq!(d.runs[1].data[0], 3);
+        let runs: Vec<(u32, &[u8])> = d.runs().collect();
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].0, 8);
+        assert_eq!(&runs[0].1[..2], &[1, 2]);
+        assert_eq!(runs[1].0, 64);
+        assert_eq!(runs[1].1[0], 3);
         // Spans past the page end clip; empty spans drop.
         let e = Diff::capture(PageId(0), &cur, &[(120, 200), (40, 40)]);
-        assert_eq!(e.runs.len(), 1);
-        assert_eq!(e.runs[0].data.len(), 8);
+        assert_eq!(e.spans(), &[(120, 8)]);
         // Pooled storage must not leak stale bytes.
         let mut pool = BufPool::new();
         let p1 = Diff::capture_in(PageId(7), &cur, &[(8, 16), (64, 72)], &mut pool);
@@ -476,15 +500,15 @@ mod proptests {
             let cur = sparse_variant(g, &twin);
             let d = Diff::between(PageId(0), &twin, &cur);
             let mut prev_end = 0usize;
-            for (i, run) in d.runs.iter().enumerate() {
-                assert!(!run.data.is_empty());
-                assert_eq!(run.offset as usize % 8, 0);
-                assert_eq!(run.data.len() % 8, 0);
+            for (i, (offset, run)) in d.runs().enumerate() {
+                assert!(!run.is_empty());
+                assert_eq!(offset as usize % 8, 0);
+                assert_eq!(run.len() % 8, 0);
                 if i > 0 {
                     // Strictly separated: coalescing guarantees a gap.
-                    assert!(run.offset as usize > prev_end);
+                    assert!(offset as usize > prev_end);
                 }
-                prev_end = run.offset as usize + run.data.len();
+                prev_end = offset as usize + run.len();
             }
             assert!(prev_end <= 256);
         });

@@ -234,13 +234,12 @@ impl Frame {
     pub fn apply_diff(&mut self, diff: &Diff) {
         diff.apply_to(&mut self.data);
         if self.twin.is_some() {
-            for run in &diff.runs {
-                self.dirty.insert(run.offset as usize, run.data.len());
+            for &(offset, len) in diff.spans() {
+                self.dirty.insert(offset as usize, len as usize);
             }
         } else if self.tracking {
-            for run in &diff.runs {
-                self.dirty
-                    .insert_coarse(run.offset as usize, run.data.len());
+            for &(offset, len) in diff.spans() {
+                self.dirty.insert_coarse(offset as usize, len as usize);
             }
         }
         self.touch();
@@ -452,7 +451,7 @@ mod tests {
         f.write_at(8, &[42]);
         let d = f.diff_against_twin(PageId(5));
         assert_eq!(d.page, PageId(5));
-        assert_eq!(d.runs.len(), 1);
+        assert_eq!(d.run_count(), 1);
         assert!(f.has_twin(), "diff creation must not consume the twin");
     }
 
@@ -503,13 +502,8 @@ mod tests {
         assert!(f.dirty_ranges().is_all(), "bulk replace marks everything");
         let mut g = Frame::new(64);
         g.make_twin();
-        let d = Diff {
-            page: PageId(0),
-            runs: vec![crate::diff::DiffRun {
-                offset: 16,
-                data: vec![7; 8],
-            }],
-        };
+        let mut d = Diff::new(PageId(0));
+        d.push_run(16, &[7; 8]);
         g.apply_diff(&d);
         assert!(g.dirty_ranges().covers(16));
         assert!(!g.dirty_ranges().covers(40));

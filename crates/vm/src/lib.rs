@@ -19,7 +19,7 @@
 //! * [`dirty`] — word-aligned dirty-range tracking for twinned frames,
 //!   feeding the incremental diff fast path.
 //! * [`frame`] — one process's copy of one page: data + protection + twin.
-//! * [`pool`] — free-lists recycling twin buffers and diff run storage.
+//! * [`pool`] — free-lists recycling twin buffers and whole diffs.
 //! * [`store`] — a process's page table over the shared segment.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -33,7 +33,7 @@ pub mod pool;
 pub mod store;
 
 pub use buf::{as_bytes, as_bytes_mut, cast_slice, cast_slice_mut, PageBuf, Pod};
-pub use diff::{Diff, DiffRun};
+pub use diff::Diff;
 pub use dirty::DirtyRanges;
 pub use frame::Frame;
 pub use page::{FaultKind, PageId, Protection};

@@ -1,33 +1,35 @@
-//! Free-lists for page buffers and diff run storage.
+//! Free-lists for page buffers and diffs.
 //!
 //! The protocols allocate in a tight loop: a twin per write-trapped page
-//! per interval, a run vector plus one payload vector per run per diff,
-//! all dropped within a barrier (home-based) or at GC (homeless). A
-//! [`BufPool`] recycles those allocations — callers `take_*` instead of
-//! allocating and `put_*` instead of dropping. Pooling is pure host-side
-//! mechanics: buffers carry no virtual-time cost and recycled memory is
-//! always fully overwritten before use (twins by a full page copy, run
-//! payloads by `extend_from_slice` onto an emptied vector), a property the
-//! proptests in `frame.rs` and `diff.rs` pin down.
+//! per interval and one diff (two vectors: its span list and its payload)
+//! per diffed page, all dropped within a barrier (home-based) or at GC
+//! (homeless). A [`BufPool`] recycles those allocations — callers `take_*`
+//! instead of allocating and `put_*` instead of dropping. A diff shared
+//! between receivers through an `Rc` comes back through
+//! [`BufPool::put_shared`] once its last holder lets go. Pooling is pure
+//! host-side mechanics: buffers carry no virtual-time cost and recycled
+//! memory is always fully overwritten before use (twins by a full page
+//! copy, diffs by emptying both vectors before any run is pushed), a
+//! property the proptests in `frame.rs` and `diff.rs` pin down.
+
+use std::rc::Rc;
 
 use crate::buf::PageBuf;
-use crate::diff::{Diff, DiffRun};
+use crate::diff::Diff;
+use crate::page::PageId;
 
 /// Retention caps: a pool never holds more than this many of each kind
 /// (excess is simply dropped), bounding idle memory.
 const PAGES_CAP: usize = 128;
-const RUN_LISTS_CAP: usize = 128;
-const RUN_BUFS_CAP: usize = 512;
+const DIFFS_CAP: usize = 128;
 
-/// A free-list for [`PageBuf`]s (twins, copies) and the two vectors a
-/// [`Diff`] is made of (the run list and each run's payload).
+/// A free-list for [`PageBuf`]s (twins, copies) and whole [`Diff`]s.
 // audit: leaf: buffer recycling free-list; pooled memory is interchangeable
 // scratch, fully overwritten before reuse, never logical state
 #[derive(Debug, Default)]
 pub struct BufPool {
     pages: Vec<PageBuf>,
-    run_lists: Vec<Vec<DiffRun>>,
-    run_bufs: Vec<Vec<u8>>,
+    diffs: Vec<Diff>,
 }
 
 impl BufPool {
@@ -55,46 +57,42 @@ impl BufPool {
         }
     }
 
-    /// An empty run vector (recycled capacity if available).
-    pub fn take_runs(&mut self) -> Vec<DiffRun> {
-        self.run_lists.pop().unwrap_or_default()
-    }
-
-    /// An empty run payload vector (recycled capacity if available).
-    pub fn take_run_buf(&mut self) -> Vec<u8> {
-        self.run_bufs.pop().unwrap_or_default()
-    }
-
-    /// Recycle a diff's storage: each run's payload and the run vector
-    /// itself go back to their free-lists.
-    pub fn put_diff(&mut self, diff: Diff) {
-        self.put_runs(diff.runs);
-    }
-
-    /// Recycle a run vector (and the payloads it holds).
-    pub fn put_runs(&mut self, mut runs: Vec<DiffRun>) {
-        for mut run in runs.drain(..) {
-            if self.run_bufs.len() < RUN_BUFS_CAP {
-                run.data.clear();
-                self.run_bufs.push(run.data);
+    /// An empty diff for `page` (recycled capacity if available).
+    pub fn take_diff(&mut self, page: PageId) -> Diff {
+        match self.diffs.pop() {
+            Some(mut d) => {
+                d.reset(page);
+                d
             }
-        }
-        if self.run_lists.len() < RUN_LISTS_CAP {
-            self.run_lists.push(runs);
+            None => Diff::new(page),
         }
     }
 
-    /// Pooled buffer counts `(pages, run_lists, run_bufs)` — observability
-    /// for tests and debugging.
-    pub fn sizes(&self) -> (usize, usize, usize) {
-        (self.pages.len(), self.run_lists.len(), self.run_bufs.len())
+    /// Recycle a diff's storage (beyond the cap it is dropped).
+    pub fn put_diff(&mut self, diff: Diff) {
+        if self.diffs.len() < DIFFS_CAP {
+            self.diffs.push(diff);
+        }
+    }
+
+    /// Release one holder of a shared diff; the storage is recycled when
+    /// this was the last one.
+    pub fn put_shared(&mut self, diff: Rc<Diff>) {
+        if let Ok(d) = Rc::try_unwrap(diff) {
+            self.put_diff(d);
+        }
+    }
+
+    /// Pooled counts `(pages, diffs)` — observability for tests and
+    /// debugging.
+    pub fn sizes(&self) -> (usize, usize) {
+        (self.pages.len(), self.diffs.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PageId;
 
     #[test]
     fn pages_recycle_by_size() {
@@ -122,25 +120,33 @@ mod tests {
     #[test]
     fn diff_storage_recycles_emptied() {
         let mut pool = BufPool::new();
-        let diff = Diff {
-            page: PageId(0),
-            runs: vec![
-                DiffRun {
-                    offset: 0,
-                    data: vec![1; 16],
-                },
-                DiffRun {
-                    offset: 32,
-                    data: vec![2; 8],
-                },
-            ],
-        };
+        let mut diff = Diff::new(PageId(0));
+        diff.push_run(0, &[1; 16]);
+        diff.push_run(32, &[2; 8]);
         pool.put_diff(diff);
-        assert_eq!(pool.sizes(), (0, 1, 2));
-        let runs = pool.take_runs();
-        assert!(runs.is_empty(), "recycled run vectors arrive empty");
-        let buf = pool.take_run_buf();
-        assert!(buf.is_empty(), "recycled payload vectors arrive empty");
-        assert!(buf.capacity() >= 8, "capacity is what gets recycled");
+        assert_eq!(pool.sizes(), (0, 1));
+        let d = pool.take_diff(PageId(3));
+        assert_eq!(d.page, PageId(3), "a recycled diff is retargeted");
+        assert!(d.is_empty(), "recycled diffs arrive empty");
+        assert_eq!(d.payload_bytes(), 0, "recycled payloads arrive empty");
+        assert!(d.capacity() >= 24, "capacity is what gets recycled");
+        assert_eq!(pool.sizes(), (0, 0));
+    }
+
+    #[test]
+    fn shared_diff_recycles_after_last_holder() {
+        let mut pool = BufPool::new();
+        let mut diff = Diff::new(PageId(0));
+        diff.push_run(8, &[7; 8]);
+        let a = Rc::new(diff);
+        let b = Rc::clone(&a);
+        pool.put_shared(a);
+        assert_eq!(
+            pool.sizes(),
+            (0, 0),
+            "a diff still held elsewhere stays out"
+        );
+        pool.put_shared(b);
+        assert_eq!(pool.sizes(), (0, 1), "the last holder returns the storage");
     }
 }

@@ -246,3 +246,94 @@ fn barnes_never_runs_trap_free() {
         "barnes' dynamic sharing must keep write-trapping alive"
     );
 }
+
+/// Every process writes its own words of one shared page in both phases
+/// and, in phase 1, reads a word another process wrote in phase 0: the
+/// page is in every process's predicted write set *and* its copy must be
+/// current at every read.
+struct Ring {
+    g: Option<SharedGrid2<f64>>,
+}
+
+impl DsmApp for Ring {
+    fn name(&self) -> &'static str {
+        "ring"
+    }
+
+    fn phases(&self) -> usize {
+        2
+    }
+
+    fn iters(&self) -> usize {
+        10
+    }
+
+    fn setup(&mut self, s: &mut SetupCtx<'_>) {
+        let g = s.alloc_grid::<f64>("ring", ROWS, 2);
+        for r in 0..ROWS {
+            s.init_row(g, r, &[0.0, 0.0]);
+        }
+        self.g = Some(g);
+    }
+
+    fn phase(&mut self, ctx: &mut ExecCtx<'_>, iter: usize, site: usize) -> PhaseEnd {
+        let g = self.g.unwrap();
+        let (p, n) = (ctx.pid(), ctx.nprocs());
+        for r in (0..ROWS).filter(|r| r % n == p) {
+            if site == 0 {
+                let acc = g.get(ctx, r, 1);
+                g.set(ctx, r, 0, (iter * 10 + r) as f64 + 0.5 * acc);
+            } else {
+                let next = g.get(ctx, (r + 1) % ROWS, 0);
+                let acc = g.get(ctx, r, 1);
+                g.set(ctx, r, 1, acc + next);
+            }
+        }
+        PhaseEnd::Barrier
+    }
+
+    fn check(&self, c: &CheckCtx<'_>) -> f64 {
+        let g = self.g.unwrap();
+        (0..ROWS)
+            .map(|r| c.read_grid(g, r, 0) + 3.0 * c.read_grid(g, r, 1))
+            .sum()
+    }
+}
+
+#[test]
+fn lost_update_flushes_neither_diverge_nor_corrupt() {
+    // A lossy wire drops update flushes to a page the receiver is itself
+    // predicted to write. The release invalidates that stale copy (for
+    // bar-m, the one protection change overdrive cannot skip). Overdrive
+    // must not arm it as it stands — a stale twin, and for bar-s stale
+    // bytes readable without a fetch — and the re-fetch and write that
+    // follow are not a divergence: under Abort a spurious one panics.
+    let seq = run_app(
+        &mut Ring { g: None },
+        RunConfig::with_nprocs(ProtocolKind::Seq, 1),
+    );
+    for protocol in [ProtocolKind::BarS, ProtocolKind::BarM] {
+        let clean = run_app(
+            &mut Ring { g: None },
+            cfg(protocol, DivergencePolicy::Abort, false),
+        );
+        let mut refetched = false;
+        for seed in 1..=6 {
+            let mut c = cfg(protocol, DivergencePolicy::Abort, false);
+            c.sim.seed = seed;
+            c.sim.fault = rdsm::sim::FaultProfile {
+                loss: 0.3,
+                ..rdsm::sim::FaultProfile::default()
+            };
+            let r = run_app(&mut Ring { g: None }, c);
+            assert_eq!(r.checksum, seq.checksum, "{} seed {seed}", protocol.label());
+            assert_eq!(r.stats.overdrive_unanticipated, 0);
+            refetched |= r.stats.remote_misses > clean.stats.remote_misses;
+        }
+        assert!(
+            refetched,
+            "{}: no lost flush forced a re-fetch",
+            protocol.label()
+        );
+    }
+}
